@@ -1,6 +1,9 @@
 #include "harness/experiments.hpp"
 
+#include <cmath>
+
 #include "mdes/machine.hpp"
+#include "util/check.hpp"
 #include "workloads/registry.hpp"
 #include "workloads/workloads.hpp"
 
@@ -50,10 +53,17 @@ ExperimentOptions ExperimentOptions::from_cli(const Cli& cli) {
     opt.timeslice = 40'000;
   }
   opt.scale = cli.get_double("scale", opt.scale);
-  opt.budget = static_cast<std::uint64_t>(cli.get_int(
-      "budget", static_cast<std::int64_t>(opt.budget)));
-  opt.timeslice = static_cast<std::uint64_t>(cli.get_int(
-      "timeslice", static_cast<std::int64_t>(opt.timeslice)));
+  VEXSIM_CHECK_MSG(std::isfinite(opt.scale) && opt.scale > 0,
+                   "--scale must be a finite number > 0, got " << opt.scale);
+  const std::int64_t budget =
+      cli.get_int("budget", static_cast<std::int64_t>(opt.budget));
+  VEXSIM_CHECK_MSG(budget >= 1, "--budget must be >= 1, got " << budget);
+  opt.budget = static_cast<std::uint64_t>(budget);
+  const std::int64_t timeslice =
+      cli.get_int("timeslice", static_cast<std::int64_t>(opt.timeslice));
+  VEXSIM_CHECK_MSG(timeslice >= 1,
+                   "--timeslice must be >= 1, got " << timeslice);
+  opt.timeslice = static_cast<std::uint64_t>(timeslice);
   opt.seed = static_cast<std::uint64_t>(cli.get_int(
       "seed", static_cast<std::int64_t>(opt.seed)));
   if (cli.has("cc"))

@@ -65,7 +65,9 @@ struct ExperimentOptions {
   // Applies --budget/--timeslice/--seed/--scale/--paper/--quick/--cc,
   // --cc-verify (run the static checkers between compiler passes),
   // --config FILE (base machine from a description file), and
-  // --mem fixed|hierarchy (memory-backend override).
+  // --mem fixed|hierarchy (memory-backend override). Throws CheckError on a
+  // malformed number, a scale that is not finite and > 0, or a budget or
+  // timeslice below 1.
   static ExperimentOptions from_cli(const Cli& cli);
 
   // Value equality; the base machines compare by value (both absent, or

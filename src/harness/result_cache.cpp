@@ -1,16 +1,22 @@
 #include "harness/result_cache.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <shared_mutex>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "stats/json.hpp"
@@ -107,36 +113,126 @@ void hash_machine(Fingerprint& fp, const MachineConfig& cfg) {
 // Resolved, order-canonical form of a workload name: a paper mix label
 // expands to its component list, and every synthetic component is rewritten
 // to its full canonical mangling, so equivalent spellings share one entry.
-std::string canonical_workload(const std::string& name) {
+std::string resolve_canonical_workload(const std::string& name) {
   const wl::WorkloadSpec spec = wl::workload(name);
-  std::ostringstream os;
+  std::string out;
   for (std::size_t i = 0; i < spec.benchmarks.size(); ++i) {
     const std::string& component = spec.benchmarks[i];
-    if (i > 0) os << '+';
+    if (i > 0) out += '+';
     if (wl_synth::is_synth_name(component))
-      os << wl_synth::parse_spec(component).name();
+      out += wl_synth::parse_spec(component).name();
     else
-      os << component;
+      out += component;
   }
-  return os.str();
+  return out;
+}
+
+// resolve_canonical_workload, memoized per spelling for the process: a sweep
+// fingerprints thousands of points over a few dozen workload names, and
+// resolution is a pure function of the name. Names that fail to resolve are
+// not remembered, so they throw on every call. The returned reference stays
+// valid because entries are never erased (unordered_map keeps node
+// addresses across rehashes).
+const std::string& canonical_workload(const std::string& name) {
+  static std::shared_mutex mu;
+  static std::unordered_map<std::string, std::string> memo;
+  {
+    const std::shared_lock<std::shared_mutex> lock(mu);
+    if (const auto it = memo.find(name); it != memo.end()) return it->second;
+  }
+  std::string canonical = resolve_canonical_workload(name);
+  const std::lock_guard<std::shared_mutex> lock(mu);
+  return memo.try_emplace(name, std::move(canonical)).first->second;
 }
 
 // First line of the index file; anything else means "rebuild".
 constexpr std::string_view kIndexHeader = "vexsim-cache-index v1";
 
-bool is_hex16(std::string_view s) {
-  if (s.size() != 16) return false;
-  return std::all_of(s.begin(), s.end(), [](char c) {
-    return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-  });
+// The value of `s` when it is exactly 16 lowercase hex digits. Table-driven
+// and branch-free per digit: random hex digits defeat branch prediction,
+// and the index holds 10^5 keys.
+std::optional<std::uint64_t> parse_hex16(std::string_view s) {
+  static constexpr std::array<std::uint8_t, 256> kDigit = [] {
+    std::array<std::uint8_t, 256> t{};
+    t.fill(0xFF);
+    for (int c = '0'; c <= '9'; ++c) t[c] = static_cast<std::uint8_t>(c - '0');
+    for (int c = 'a'; c <= 'f'; ++c)
+      t[c] = static_cast<std::uint8_t>(c - 'a' + 10);
+    return t;
+  }();
+  if (s.size() != 16) return std::nullopt;
+  std::uint64_t v = 0;
+  unsigned invalid = 0;
+  for (const char c : s) {
+    const unsigned digit = kDigit[static_cast<unsigned char>(c)];
+    invalid |= digit;
+    v = (v << 4) | (digit & 0xF);
+  }
+  if (invalid > 0xF) return std::nullopt;
+  return v;
 }
 
-std::uint64_t parse_hex16(std::string_view s) {
-  std::uint64_t v = 0;
-  for (const char c : s)
-    v = (v << 4) | static_cast<std::uint64_t>(
-                       c <= '9' ? c - '0' : c - 'a' + 10);
-  return v;
+// Read-only mapping of a whole file; text() is empty when the file is empty
+// or cannot be opened or mapped. The index is read through a mapping rather
+// than a heap buffer: a multi-megabyte malloc'd buffer, once freed, raises
+// glibc's mmap threshold and leaves later large allocations resident (3 MB
+// more peak RSS on a warm 2560-point sweep). The index is only ever
+// appended to or replaced by rename, never truncated in place, so the
+// mapping stays valid.
+class MappedFile {
+ public:
+  explicit MappedFile(const std::string& path) {
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0) return;
+    struct stat st {};
+    if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+      void* p = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
+                       PROT_READ, MAP_PRIVATE, fd, 0);
+      if (p != MAP_FAILED) {
+        data_ = static_cast<const char*>(p);
+        size_ = static_cast<std::size_t>(st.st_size);
+      }
+    }
+    ::close(fd);
+  }
+  ~MappedFile() {
+    if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
+  }
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+
+  [[nodiscard]] std::string_view text() const { return {data_, size_}; }
+
+ private:
+  const char* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+// Reads the whole file at `path` with one open() and, for a file that does
+// not change underneath, one read(). nullopt when it cannot be opened or
+// read; a file that shrank mid-read yields the bytes that were there.
+std::optional<std::string> read_whole_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  struct stat st {};
+  std::optional<std::string> text;
+  if (::fstat(fd, &st) == 0) {
+    text.emplace(static_cast<std::size_t>(st.st_size), '\0');
+    std::size_t got = 0;
+    while (got < text->size()) {
+      const ssize_t n = ::read(fd, text->data() + got, text->size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n < 0) {
+        text.reset();
+        break;
+      }
+      if (n == 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    if (text) text->resize(got);
+  }
+  ::close(fd);
+  return text;
 }
 
 Json counters_json(const ThreadCounters& c) {
@@ -375,6 +471,17 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   std::filesystem::create_directories(dir_, ec);
   VEXSIM_CHECK_MSG(!ec, "cannot create result cache directory " << dir_ << ": "
                                                                 << ec.message());
+  if (read_index()) return;
+  // A missing index is created only if it is still missing when written:
+  // when two processes open a fresh directory together, the second adopts
+  // the first one's index instead of replacing it, which would drop the
+  // lines the first has appended since. A corrupt index is replaced.
+  const bool missing = !std::filesystem::exists(index_path());
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    scan_records_locked();
+    if (write_index_locked(/*replace=*/!missing)) return;
+  }
   if (!read_index()) rebuild_index();
 }
 
@@ -386,79 +493,134 @@ std::string ResultCache::index_path() const { return dir_ + "/cache.index"; }
 
 bool ResultCache::probe(std::uint64_t key) const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return index_.find(key) != index_.end();
+  return std::binary_search(keys_.begin(), keys_.end(), key);
 }
 
 std::size_t ResultCache::index_size() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return index_.size();
+  return keys_.size();
 }
 
 bool ResultCache::read_index() {
-  std::ifstream is(index_path(), std::ios::binary);
-  if (!is.good()) return false;
-  std::string line;
-  if (!std::getline(is, line) || line != kIndexHeader) return false;
-  std::map<std::uint64_t, std::string> loaded;
-  while (std::getline(is, line)) {
+  const MappedFile mapped(index_path());
+  const std::string_view all = mapped.text();
+  std::size_t pos = all.find('\n');
+  if (all.substr(0, pos) != kIndexHeader) return false;
+  std::vector<std::uint64_t> keys;
+  keys.reserve(all.size() / 39);  // a canonical line is 39 bytes
+  std::map<std::uint64_t, std::string> renamed;
+  while (pos < all.size()) {
+    const std::size_t begin = pos + 1;
+    pos = std::min(all.find('\n', begin), all.size());
+    const std::string_view line = all.substr(begin, pos - begin);
     if (line.empty()) continue;  // a torn append leaves at most a blank tail
     if (line.size() < 18 || line[16] != ' ') return false;
-    const std::string_view hex = std::string_view(line).substr(0, 16);
-    if (!is_hex16(hex)) return false;
-    std::string file = line.substr(17);
-    if (file.find('/') != std::string::npos) return false;
-    loaded[parse_hex16(hex)] = std::move(file);
+    const std::string_view hex = line.substr(0, 16);
+    const std::optional<std::uint64_t> key = parse_hex16(hex);
+    if (!key) return false;
+    const std::string_view file = line.substr(17);
+    keys.push_back(*key);
+    // A repeated key takes its last line's file name.
+    if (file.size() == 21 && file.substr(0, 16) == hex &&
+        file.substr(16) == ".json") {
+      if (!renamed.empty()) renamed.erase(*key);
+      continue;
+    }
+    if (file.find('/') != std::string_view::npos) return false;
+    renamed.insert_or_assign(*key, std::string(file));
   }
+  // Rewrites keep the file sorted, so usually only the appended tail is out
+  // of order: sort that and merge it in.
+  const auto tail = std::is_sorted_until(keys.begin(), keys.end());
+  std::sort(tail, keys.end());
+  std::inplace_merge(keys.begin(), tail, keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   const std::lock_guard<std::mutex> lock(mu_);
-  index_ = std::move(loaded);
+  keys_ = std::move(keys);
+  renamed_ = std::move(renamed);
   return true;
 }
 
-void ResultCache::write_index_locked() const {
+bool ResultCache::write_index_locked(bool replace) const {
   static std::atomic<std::uint64_t> counter{0};
   std::ostringstream tmp_name;
   tmp_name << index_path() << ".tmp." << ::getpid() << "."
            << counter.fetch_add(1, std::memory_order_relaxed);
+  std::string text(kIndexHeader);
+  text += '\n';
+  text.reserve(text.size() + keys_.size() * 39);
+  for (const std::uint64_t key : keys_) {
+    const std::string hex = fingerprint_hex(key);
+    text.append(hex).append(" ");
+    if (const auto it = renamed_.find(key); it != renamed_.end())
+      text.append(it->second);
+    else
+      text.append(hex).append(".json");
+    text += '\n';
+  }
   {
     std::ofstream os(tmp_name.str(), std::ios::binary | std::ios::trunc);
     VEXSIM_CHECK_MSG(os.good(), "cannot write " << tmp_name.str());
-    os << kIndexHeader << "\n";
-    for (const auto& [key, file] : index_)
-      os << fingerprint_hex(key) << " " << file << "\n";
+    os.write(text.data(), static_cast<std::streamsize>(text.size()));
     os.flush();
     VEXSIM_CHECK_MSG(os.good(), "failed writing " << tmp_name.str());
+  }
+  if (!replace) {
+    // link() publishes the file only where no index exists yet.
+    const int linked = ::link(tmp_name.str().c_str(), index_path().c_str());
+    const int link_errno = errno;
+    if (linked == 0 || link_errno == EEXIST) {
+      ::unlink(tmp_name.str().c_str());
+      return linked == 0;
+    }
+    // No hard links on this file system: publish with rename() below.
   }
   VEXSIM_CHECK_MSG(
       std::rename(tmp_name.str().c_str(), index_path().c_str()) == 0,
       "failed to move " << tmp_name.str() << " over " << index_path());
+  return true;
 }
 
 void ResultCache::rebuild_index() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  index_.clear();
+  scan_records_locked();
+  write_index_locked();
+}
+
+void ResultCache::scan_records_locked() const {
+  keys_.clear();
+  renamed_.clear();
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     if (!entry.is_regular_file()) continue;
     const std::string name = entry.path().filename().string();
     // Record files only: exactly "<16 lowercase hex>.json".
     if (name.size() != 21 || name.substr(16) != ".json") continue;
-    const std::string_view hex = std::string_view(name).substr(0, 16);
-    if (!is_hex16(hex)) continue;
-    index_[parse_hex16(hex)] = name;
+    if (const auto key = parse_hex16(std::string_view(name).substr(0, 16)))
+      keys_.push_back(*key);
   }
   VEXSIM_CHECK_MSG(!ec, "cannot scan result cache directory " << dir_ << ": "
                                                               << ec.message());
-  write_index_locked();
+  std::sort(keys_.begin(), keys_.end());
+}
+
+std::string ResultCache::record_path_locked(std::uint64_t key) const {
+  const auto it = renamed_.find(key);
+  return it == renamed_.end() ? entry_path(key) : dir_ + "/" + it->second;
+}
+
+void ResultCache::erase_locked(std::uint64_t key) const {
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it != keys_.end() && *it == key) keys_.erase(it);
+  renamed_.erase(key);
 }
 
 std::optional<RunResult> ResultCache::read_record(const std::string& path,
                                                   std::uint64_t key) const {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) return std::nullopt;  // plain miss
-  std::string text((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
+  const std::optional<std::string> text = read_whole_file(path);
+  if (!text) return std::nullopt;  // plain miss
   try {
-    const Json doc = Json::parse(text);
+    const Json doc = Json::parse(*text);
     // A record from another simulator version (or another key that landed
     // on this path through tampering) is a miss, not an error.
     if (doc.at("version").as_string() != kSimVersionTag) return std::nullopt;
@@ -476,16 +638,16 @@ std::optional<RunResult> ResultCache::load(std::uint64_t key) const {
   std::string path;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) return std::nullopt;  // O(1), no I/O
-    path = dir_ + "/" + it->second;
+    if (!std::binary_search(keys_.begin(), keys_.end(), key))
+      return std::nullopt;  // no I/O
+    path = record_path_locked(key);
   }
   std::optional<RunResult> r = read_record(path, key);
   if (!r) {
     // Indexed but unreadable (deleted or corrupt on disk): drop the entry so
-    // the next probe is an O(1) miss again.
+    // the next probe is an in-memory miss again.
     const std::lock_guard<std::mutex> lock(mu_);
-    index_.erase(key);
+    erase_locked(key);
   }
   return r;
 }
@@ -535,7 +697,9 @@ void ResultCache::store(std::uint64_t key, const std::string& workload,
   bool fresh = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    fresh = index_.emplace(key, fingerprint_hex(key) + ".json").second;
+    const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+    fresh = it == keys_.end() || *it != key;
+    if (fresh) keys_.insert(it, key);
   }
   // Only the first store of a key appends — a re-store (cache shared with a
   // racing process) would otherwise grow the index without bound.
@@ -551,21 +715,16 @@ CacheGcStats ResultCache::gc(std::uint64_t max_bytes) const {
   };
   CacheGcStats stats;
   std::vector<Entry> entries;
-  entries.reserve(index_.size());
-  std::vector<std::uint64_t> gone;
-  for (const auto& [key, file] : index_) {
-    const std::filesystem::path p = dir_ + "/" + file;
+  entries.reserve(keys_.size());
+  for (const std::uint64_t key : keys_) {
+    const std::filesystem::path p = record_path_locked(key);
     std::error_code ec;
     const std::uint64_t bytes = std::filesystem::file_size(p, ec);
     const auto mtime = std::filesystem::last_write_time(p, ec);
-    if (ec) {
-      gone.push_back(key);  // indexed but vanished: drop the entry
-      continue;
-    }
+    if (ec) continue;  // indexed but vanished: the entry is dropped below
     entries.push_back({mtime, bytes, key});
     stats.bytes_before += bytes;
   }
-  for (const std::uint64_t key : gone) index_.erase(key);
   stats.records_before = entries.size();
 
   // LRU by mtime (key as deterministic tie-break): evict oldest first until
@@ -579,11 +738,16 @@ CacheGcStats ResultCache::gc(std::uint64_t max_bytes) const {
   while (evict < entries.size() && bytes_left > max_bytes)
     bytes_left -= entries[evict++].bytes;
   for (std::size_t i = 0; i < evict; ++i) {
-    const auto it = index_.find(entries[i].key);
     std::error_code ec;
-    std::filesystem::remove(dir_ + "/" + it->second, ec);
-    index_.erase(it);
+    std::filesystem::remove(record_path_locked(entries[i].key), ec);
   }
+  keys_.clear();
+  for (std::size_t i = evict; i < entries.size(); ++i)
+    keys_.push_back(entries[i].key);
+  std::sort(keys_.begin(), keys_.end());
+  std::erase_if(renamed_, [this](const auto& entry) {
+    return !std::binary_search(keys_.begin(), keys_.end(), entry.first);
+  });
   stats.evicted = evict;
   stats.records_after = entries.size() - evict;
   stats.bytes_after = bytes_left;

@@ -16,18 +16,25 @@
 // RunResult field the trajectory JSON or a bench table can observe is
 // round-tripped.
 //
-// Probing is O(1) in the record count via an **index file**
+// Probing needs no file I/O thanks to an **index file**
 // (<dir>/cache.index): one header line and one "<16-hex-key> <record file>"
-// line per record, loaded into an in-memory map at construction. The index
-// is maintained with the same crash-safe discipline as the records:
+// line per record, mapped and parsed at construction into a sorted array of
+// keys (no per-record allocation: only a record file not named
+// "<16-hex-key>.json" gets its name kept), so a probe is a binary search in
+// memory. The index is maintained with the same crash-safe discipline as the
+// records:
 //  * store() appends one line with a single O_APPEND write, so any number
 //    of concurrent shard processes (or sweep worker threads) sharing the
 //    directory interleave whole lines, never torn ones;
 //  * a missing, truncated, or otherwise corrupt index is rebuilt
 //    transparently by scanning the directory for record files — hit results
-//    are identical either way, the rebuild only restores O(1) probing;
+//    are identical either way, the rebuild only restores I/O-free probing.
+//    A missing index is published with link(), so of several processes
+//    opening a fresh directory at once only the first writes it and the
+//    rest read it;
 //  * gc() and rebuild_index() rewrite the index via temp file + rename, so
-//    readers never observe a half-written index.
+//    readers never observe a half-written index; rewrites list the keys in
+//    ascending order, so they are deterministic.
 // The one benign race: an index rewrite can drop a line appended by a
 // concurrent writer. The record file itself survives, so the entry misses
 // once, re-simulates (or re-loads on rebuild), and is re-appended —
@@ -40,6 +47,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "harness/experiments.hpp"
 
@@ -88,7 +96,7 @@ class ResultCache {
   [[nodiscard]] std::string entry_path(std::uint64_t key) const;
   [[nodiscard]] std::string index_path() const;
 
-  // O(1), no I/O: whether `key` is in the index. The authoritative answer
+  // No I/O: whether `key` is in the index. The authoritative answer
   // comes from load() — a probed record can still be corrupt on disk.
   [[nodiscard]] bool probe(std::uint64_t key) const;
 
@@ -125,17 +133,29 @@ class ResultCache {
  private:
   [[nodiscard]] bool read_index();
   void append_index_line(std::uint64_t key) const;
-  // Writes index_ to disk (temp file + rename). Caller holds mu_.
-  void write_index_locked() const;
+  // Sets the index to the record files found in dir_. Caller holds mu_.
+  void scan_records_locked() const;
+  // Writes the index to disk in key order (temp file + rename). With
+  // `replace` false the file is published only if no index exists, and the
+  // call returns false when one does. Caller holds mu_.
+  bool write_index_locked(bool replace = true) const;
+  // Path of the indexed record for `key`. Caller holds mu_.
+  [[nodiscard]] std::string record_path_locked(std::uint64_t key) const;
+  // Drops `key` from the index, if present. Caller holds mu_.
+  void erase_locked(std::uint64_t key) const;
   [[nodiscard]] std::optional<RunResult> read_record(const std::string& path,
                                                      std::uint64_t key) const;
 
   std::string dir_;
-  // fingerprint -> record file name (relative to dir_). Ordered so index
-  // rewrites are deterministic. Guarded by mu_: sweep workers store() and
-  // load() concurrently.
+  // The indexed fingerprints, sorted and duplicate-free, and the record
+  // file name (relative to dir_) of the few whose file is not the canonical
+  // "<16-hex-key>.json" — only an index line written by hand or by another
+  // tool names one. store() inserts in place, moving the tail of keys_
+  // (13 µs at 10^5 keys, against ~100 µs for the record write itself).
+  // Guarded by mu_: sweep workers store() and load() concurrently.
   mutable std::mutex mu_;
-  mutable std::map<std::uint64_t, std::string> index_;
+  mutable std::vector<std::uint64_t> keys_;
+  mutable std::map<std::uint64_t, std::string> renamed_;
 };
 
 }  // namespace vexsim::harness

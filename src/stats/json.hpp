@@ -5,7 +5,9 @@
 // strings, integers, doubles, and booleans. Emission order is insertion
 // order and number formatting is locale-independent and round-trip exact,
 // so two structurally equal documents serialize to byte-identical text —
-// the property the parallel-vs-serial sweep determinism checks rely on.
+// the property the parallel-vs-serial sweep determinism checks rely on. A
+// double is spelled with the fewest significant digits P that parse back to
+// exactly the same value, printed as printf's "%.Pg" would print it.
 // Non-finite doubles serialize as `null` (JSON has no nan/inf); consumers
 // treat a null metric as "undefined". The parser is deliberately strict
 // (no duplicate keys, no trailing input): cache records are produced by the
@@ -13,8 +15,10 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -39,11 +43,11 @@ class Json {
   // malformed input, duplicate object keys, numeric overflow, or trailing
   // characters. Non-negative integers parse as unsigned, negative ones as
   // signed; either re-serializes to the original text.
-  static Json parse(const std::string& text);
+  static Json parse(std::string_view text);
 
   // Object member access; `set` overwrites an existing key in place so the
   // original insertion order is preserved.
-  Json& set(const std::string& key, Json value);
+  Json& set(std::string_view key, Json value);
 
   // Array append.
   Json& push(Json value);
@@ -68,35 +72,44 @@ class Json {
   [[nodiscard]] const std::string& as_string() const;
 
   // Object member lookup: `find` returns nullptr when absent, `at` throws.
-  [[nodiscard]] const Json* find(const std::string& key) const;
-  [[nodiscard]] const Json& at(const std::string& key) const;
+  [[nodiscard]] const Json* find(std::string_view key) const;
+  [[nodiscard]] const Json& at(std::string_view key) const;
   // Array element access, bounds-checked.
   [[nodiscard]] const Json& at(std::size_t i) const;
 
   // Serializes with 2-space indentation and a trailing newline at top level.
   [[nodiscard]] std::string dump() const;
 
-  // Escapes `s` for use inside a JSON string literal (no surrounding quotes).
-  static std::string escape(const std::string& s);
-
  private:
+  friend class JsonParser;
+  friend void write_json_file(const std::string& path, const Json& json);
+
   enum class Kind : std::uint8_t {
     kNull, kBool, kInt, kUint, kDouble, kString, kObject, kArray,
   };
 
-  void dump_to(std::string& out, int indent) const;
+  // Makes room for one more child (see kSmallContainer in json.cpp).
+  void reserve_one_more();
+
+  // Appends this value's text to `out`. With a `sink`, `out` is written to
+  // it and cleared whenever it passes 32 KiB, so a large document is never
+  // held in memory as one string.
+  void dump_to(std::string& out, int indent, std::ostream* sink) const;
 
   Kind kind_;
-  bool bool_ = false;
-  std::int64_t int_ = 0;
-  std::uint64_t uint_ = 0;
-  double double_ = 0.0;
+  union {  // the scalar selected by kind_
+    bool bool_;
+    std::int64_t int_;
+    std::uint64_t uint_;
+    double double_ = 0.0;
+  };
   std::string string_;
   // Object members (key used) or array elements (key empty, unused).
   std::vector<std::pair<std::string, Json>> children_;
 };
 
-// Writes `json.dump()` to `path`, throwing CheckError on I/O failure.
+// Writes the text of `json.dump()` to `path` in 32 KiB pieces, throwing
+// CheckError on I/O failure.
 void write_json_file(const std::string& path, const Json& json);
 
 }  // namespace vexsim

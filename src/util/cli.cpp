@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cerrno>
 #include <climits>
 #include <cstdlib>
 
@@ -49,12 +50,29 @@ std::string Cli::get(const std::string& name, const std::string& def) const {
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
   const auto it = options_.find(name);
-  return it == options_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 0);
+  if (it == options_.end()) return def;
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(value.c_str(), &end, 0);
+  VEXSIM_CHECK_MSG(end != value.c_str() && *end == '\0' && errno != ERANGE,
+                   "--" << name << " expects an integer (decimal, 0x hex or "
+                        << "0 octal) in the 64-bit range, got '" << value
+                        << "'");
+  return v;
 }
 
 double Cli::get_double(const std::string& name, double def) const {
   const auto it = options_.find(name);
-  return it == options_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == options_.end()) return def;
+  const std::string& value = it->second;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(value.c_str(), &end);
+  VEXSIM_CHECK_MSG(end != value.c_str() && *end == '\0' && errno != ERANGE,
+                   "--" << name << " expects a number in the double range, got '"
+                        << value << "'");
+  return v;
 }
 
 int Cli::jobs(int def) const {

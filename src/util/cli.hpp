@@ -20,6 +20,10 @@ class Cli {
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& def) const;
+  // Numeric values, `def` when absent. The whole value must parse: an empty
+  // value, trailing characters ("2e5" for an integer, "12abc") or a value
+  // out of range throws CheckError. Integers take strtoll base-0 spelling,
+  // so "0x10" is 16.
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& name, double def) const;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "util/check.hpp"
+
 namespace vexsim::harness {
 namespace {
 
@@ -30,6 +34,40 @@ TEST(Experiments, ExplicitFlagsOverride) {
       make_cli({"--quick", "--budget", "12345", "--seed=9"}));
   EXPECT_EQ(opt.budget, 12345u);
   EXPECT_EQ(opt.seed, 9u);
+}
+
+TEST(Experiments, FromCliRejectsOutOfRangeValues) {
+  // Each of these used to be accepted: a budget of 0 printed a table of
+  // meaningless speedups, a negative scale or zero timeslice ran a
+  // degenerate model, and a budget past 2^63 clamped and ran unbounded.
+  for (const auto& args : std::vector<std::vector<const char*>>{
+           {"--budget", "0"},
+           {"--budget", "-5"},
+           {"--scale", "-1"},
+           {"--scale", "0"},
+           {"--scale", "nan"},
+           {"--scale", "inf"},
+           {"--timeslice", "0"},
+           {"--budget", "99999999999999999999"},
+           {"--seed", "12abc"},
+           {"--budget", "2e5"},
+           {"--budget="},
+           {"--budget"},
+       }) {
+    std::vector<const char*> argv{"prog"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    const Cli cli(static_cast<int>(argv.size()), argv.data());
+    EXPECT_THROW((void)ExperimentOptions::from_cli(cli), CheckError)
+        << args[0];
+  }
+}
+
+TEST(Experiments, FromCliAcceptsBoundaryValues) {
+  const auto opt = ExperimentOptions::from_cli(make_cli(
+      {"--budget", "1", "--timeslice", "0x10", "--scale", "1e-3"}));
+  EXPECT_EQ(opt.budget, 1u);
+  EXPECT_EQ(opt.timeslice, 16u);
+  EXPECT_DOUBLE_EQ(opt.scale, 1e-3);
 }
 
 ExperimentOptions tiny() {

@@ -502,5 +502,147 @@ TEST(CacheIndex, LoadUnindexedMatchesIndexedLoad) {
   EXPECT_FALSE(cache.load_unindexed(12).has_value());
 }
 
+// Header plus one "<hex> <file>" line per (key, file) pair, in order.
+std::string index_text(
+    const std::vector<std::pair<std::uint64_t, std::string>>& lines) {
+  std::string text = "vexsim-cache-index v1\n";
+  for (const auto& [key, file] : lines)
+    text += fingerprint_hex(key) + " " + file + "\n";
+  return text;
+}
+
+std::string canonical_file(std::uint64_t key) {
+  return fingerprint_hex(key) + ".json";
+}
+
+TEST(CacheIndex, BlankTornTailIsToleratedWithoutRebuild) {
+  const std::string dir = fresh_dir("index_blank_tail");
+  {
+    const ResultCache writer(dir);
+    writer.store(21, "llmm", synthetic_result(2100));
+    writer.store(22, "llmm", synthetic_result(2200));
+  }
+  // Key 23's line names a record that was never written: a rebuild (which
+  // scans the directory) would drop it, a tolerated read keeps it.
+  const std::string text =
+      index_text({{21, canonical_file(21)},
+                  {22, canonical_file(22)},
+                  {23, canonical_file(23)}}) +
+      "\n";
+  write_file(dir + "/cache.index", text);
+  const ResultCache cache(dir);
+  EXPECT_EQ(cache.index_size(), 3u);
+  EXPECT_TRUE(cache.probe(23));
+  EXPECT_EQ(read_file(cache.index_path()), text);  // not rewritten
+  ASSERT_TRUE(cache.load(22).has_value());
+  EXPECT_EQ(cache.load(22)->sim.cycles, 2200u);
+}
+
+TEST(CacheIndex, HeaderMismatchRebuildsTheIndex) {
+  const std::string dir = fresh_dir("index_header");
+  {
+    const ResultCache writer(dir);
+    writer.store(31, "llmm", synthetic_result(3100));
+    writer.store(32, "llmm", synthetic_result(3200));
+  }
+  // A future (or foreign) index version naming a record that is not there.
+  write_file(dir + "/cache.index",
+             "vexsim-cache-index v2\n" + fingerprint_hex(33) + " " +
+                 canonical_file(33) + "\n");
+  const ResultCache cache(dir);
+  EXPECT_EQ(cache.index_size(), 2u);
+  EXPECT_FALSE(cache.probe(33));
+  EXPECT_EQ(read_file(cache.index_path()),
+            index_text({{31, canonical_file(31)}, {32, canonical_file(32)}}));
+  EXPECT_TRUE(cache.load(31).has_value());
+}
+
+TEST(CacheIndex, NonCanonicalRecordNameStillLoads) {
+  const std::string dir = fresh_dir("index_renamed");
+  {
+    const ResultCache writer(dir);
+    writer.store(41, "llmm", synthetic_result(4100));
+    writer.store(42, "llmm", synthetic_result(4200));
+  }
+  std::filesystem::rename(dir + "/" + canonical_file(41),
+                          dir + "/kept-by-hand.json");
+  write_file(dir + "/cache.index",
+             index_text({{41, "kept-by-hand.json"}, {42, canonical_file(42)}}));
+  const ResultCache cache(dir);
+  const auto loaded = cache.load(41);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->sim.cycles, 4100u);
+  // A rewrite keeps the name; eviction deletes the file it names.
+  (void)cache.gc(1ull << 40);
+  EXPECT_EQ(read_file(cache.index_path()),
+            index_text({{41, "kept-by-hand.json"}, {42, canonical_file(42)}}));
+  (void)cache.gc(0);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/kept-by-hand.json"));
+  EXPECT_EQ(cache.index_size(), 0u);
+}
+
+TEST(CacheIndex, DuplicateKeyLinesLastWins) {
+  const std::string dir = fresh_dir("index_duplicates");
+  {
+    const ResultCache writer(dir);
+    writer.store(51, "llmm", synthetic_result(5100));
+  }
+  // A second, different record for key 51 under another name.
+  {
+    const std::string other = fresh_dir("index_duplicates_other");
+    const ResultCache writer(other);
+    writer.store(51, "llmm", synthetic_result(5111));
+    std::filesystem::copy_file(other + "/" + canonical_file(51),
+                               dir + "/other.json");
+  }
+  write_file(dir + "/cache.index",
+             index_text({{51, canonical_file(51)}, {51, "other.json"}}));
+  {
+    const ResultCache cache(dir);
+    EXPECT_EQ(cache.index_size(), 1u);
+    ASSERT_TRUE(cache.load(51).has_value());
+    EXPECT_EQ(cache.load(51)->sim.cycles, 5111u);
+  }
+  write_file(dir + "/cache.index",
+             index_text({{51, "other.json"}, {51, canonical_file(51)}}));
+  const ResultCache cache(dir);
+  EXPECT_EQ(cache.index_size(), 1u);
+  ASSERT_TRUE(cache.load(51).has_value());
+  EXPECT_EQ(cache.load(51)->sim.cycles, 5100u);
+}
+
+TEST(CacheIndex, MalformedOrForeignRecordsAreMissesAndDropped) {
+  const ResultCache cache(fresh_dir("index_bad_records"));
+  cache.store(61, "llmm", synthetic_result(6100));
+  const std::string good = read_file(cache.entry_path(61));
+  ASSERT_TRUE(cache.load(61).has_value());
+
+  const auto replace_first = [&good](const std::string& from,
+                                     const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::string version = std::string(kSimVersionTag);
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"duplicate key",
+       replace_first("\"key\"", "\"version\": \"" + version + "\",\n  \"key\"")},
+      {"trailing bytes", good + "{}"},
+      {"wrong version", replace_first(version, "vexsim-sim-pr8")},
+      {"mismatched key",
+       replace_first(fingerprint_hex(61), fingerprint_hex(62))},
+  };
+  for (const auto& [what, text] : bad) {
+    SCOPED_TRACE(what);
+    write_file(cache.entry_path(61), good);
+    cache.rebuild_index();
+    ASSERT_TRUE(cache.probe(61));
+    write_file(cache.entry_path(61), text);
+    EXPECT_FALSE(cache.load(61).has_value());
+    EXPECT_FALSE(cache.probe(61));  // dropped from the index
+  }
+}
+
 }  // namespace
 }  // namespace vexsim::harness

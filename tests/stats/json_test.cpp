@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <string>
 
 #include "util/check.hpp"
@@ -49,8 +51,14 @@ TEST(Json, NestedArraysAndEmpties) {
 }
 
 TEST(Json, StringEscaping) {
-  EXPECT_EQ(Json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(Json::escape(std::string(1, '\x01')), "\\u0001");
+  EXPECT_EQ(Json("a\"b\\c\nd").dump(), "\"a\\\"b\\\\c\\nd\"\n");
+  EXPECT_EQ(Json(std::string(1, '\x01')).dump(), "\"\\u0001\"\n");
+  EXPECT_EQ(Json("\r\t\x1f ok").dump(), "\"\\r\\t\\u001f ok\"\n");
+  // Keys are escaped the same way.
+  Json j = Json::object();
+  j.set("k\"ey", "v");
+  EXPECT_EQ(j.dump(), "{\n  \"k\\\"ey\": \"v\"\n}\n");
+  EXPECT_EQ(Json::parse(j.dump()).at("k\"ey").as_string(), "v");
 }
 
 TEST(Json, DoubleFormattingRoundTripsAndIsShortest) {
@@ -60,6 +68,82 @@ TEST(Json, DoubleFormattingRoundTripsAndIsShortest) {
   const double v = 0.1 + 0.2;
   const std::string text = Json(v).dump();
   EXPECT_EQ(std::stod(text), v);
+}
+
+// The precision search the writer used before it derived the digit count
+// from std::to_chars, kept as the oracle for the current formatter: the
+// fewest significant digits, from 1 up, whose "%.*g" spelling scans back to
+// exactly the same double.
+std::string reference_format_double(double v) {
+  if (!std::isfinite(v)) return "null";
+  for (int precision = 1; precision < 17; ++precision) {
+    char shorter[32];
+    std::snprintf(shorter, sizeof shorter, "%.*g", precision, v);
+    double parsed = 0.0;
+    std::sscanf(shorter, "%lf", &parsed);
+    if (parsed == v) return shorter;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+// Byte equality with the reference, and a parse round trip to an equal
+// value ("-0" parses as the integer 0, so -0.0 comes back as +0.0).
+void expect_matches_reference(double v) {
+  const std::string text = Json(v).dump();
+  ASSERT_EQ(text, reference_format_double(v) + "\n")
+      << "bits " << std::bit_cast<std::uint64_t>(v);
+  ASSERT_EQ(Json::parse(text).as_double(), v) << text;
+}
+
+TEST(Json, DoubleFormattingMatchesPrecisionSearchOnRandomDoubles) {
+  // Uniform random bit patterns cover the whole exponent range, both signs
+  // and subnormals; non-finite patterns are skipped (they emit null).
+  std::mt19937_64 rng(20101);
+  int checked = 0;
+  while (checked < 100'000) {
+    const double v = std::bit_cast<double>(rng());
+    if (!std::isfinite(v)) continue;
+    expect_matches_reference(v);
+    ++checked;
+  }
+  // Values on the scale sweep statistics live at: ratios of small counts.
+  for (std::uint64_t i = 0; i < 5'000; ++i) {
+    const double num = static_cast<double>(rng() % 2'000'000);
+    const double den = static_cast<double>(1 + rng() % 1'000'000);
+    expect_matches_reference(num / den);
+  }
+}
+
+TEST(Json, DoubleFormattingMatchesPrecisionSearchOnPowersOfTwo) {
+  // At a power of two the rounding interval below the value is half the
+  // width of the one above, the case where the shortest digit count can
+  // still fail to round-trip under "%.Pg".
+  for (int e = -1074; e <= 1023; ++e) {
+    expect_matches_reference(std::ldexp(1.0, e));
+    expect_matches_reference(-std::ldexp(1.0, e));
+  }
+}
+
+TEST(Json, DoubleFormattingMatchesPrecisionSearchOnEdgeValues) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kMin = std::numeric_limits<double>::min();
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  const double two53 = std::ldexp(1.0, 53);
+  for (const double v :
+       {0.0, -0.0, kMax, -kMax, kMin, -kMin, kDenormMin, -kDenormMin,
+        kMin - kDenormMin, std::nextafter(kMin, 0.0), kDenormMin * 3,
+        std::nextafter(kMax, 0.0), two53, two53 + 2, two53 - 1, 1e16, 1e17,
+        1e21, 1e22, 1e23, 123456789012345678.0, 0.1, 1.0 / 3, 2.0 / 3, 0.3,
+        0.1 + 0.2, 1.0, 0.5, 100.0, 1e-5, 1e-7, 5e-324})
+    expect_matches_reference(v);
+  EXPECT_EQ(Json(-0.0).dump(), "-0\n");
+  EXPECT_EQ(Json(0.1).dump(), "0.1\n");
+  EXPECT_EQ(Json(1.0 / 3).dump(), "0.3333333333333333\n");
+  EXPECT_EQ(Json(1e21).dump(), "1e+21\n");
+  EXPECT_EQ(Json(kDenormMin).dump(), "5e-324\n");
+  EXPECT_EQ(Json(kMax).dump(), "1.7976931348623157e+308\n");
 }
 
 TEST(Json, LargeIntegersAreExact) {
@@ -86,6 +170,19 @@ TEST(Json, WriteJsonFile) {
   std::string content((std::istreambuf_iterator<char>(is)),
                       std::istreambuf_iterator<char>());
   EXPECT_EQ(content, j.dump());
+  // A document far larger than one write_json_file piece comes out whole.
+  Json big = Json::array();
+  for (int i = 0; i < 5'000; ++i) {
+    Json point = Json::object();
+    point.set("label", "point " + std::to_string(i)).set("ipc", i / 7.0);
+    big.push(std::move(point));
+  }
+  write_json_file(path, big);
+  std::ifstream big_is(path);
+  const std::string big_content((std::istreambuf_iterator<char>(big_is)),
+                                std::istreambuf_iterator<char>());
+  EXPECT_GT(big_content.size(), 200'000u);
+  EXPECT_EQ(big_content, big.dump());
   std::remove(path.c_str());
   EXPECT_THROW(write_json_file("/nonexistent-dir/x.json", j), CheckError);
 }
@@ -166,6 +263,10 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)Json::parse("1e999"), CheckError);
   const double denorm = 5e-324;
   EXPECT_EQ(Json::parse(Json(denorm).dump()).as_double(), denorm);
+  EXPECT_EQ(Json::parse("1e-400").as_double(), 0.0);  // underflow: not an error
+  // JSON numbers have no leading '+', and the writer never emits one.
+  EXPECT_THROW((void)Json::parse("+5"), CheckError);
+  EXPECT_THROW((void)Json::parse("+0.5"), CheckError);
   // Duplicate keys are corruption, not last-wins.
   EXPECT_THROW((void)Json::parse("{\"a\": 1, \"a\": 2}"), CheckError);
 }

@@ -50,6 +50,28 @@ TEST(Cli, HexIntegers) {
   EXPECT_EQ(cli.get_int("base", 0), 0x1000);
 }
 
+TEST(Cli, NumbersMustParseWhole) {
+  EXPECT_EQ(make({"--n", "0x10"}).get_int("n", 0), 16);
+  EXPECT_EQ(make({"--n", "-7"}).get_int("n", 0), -7);
+  EXPECT_EQ(make({"--n", "9223372036854775807"}).get_int("n", 0),
+            9223372036854775807);
+  EXPECT_DOUBLE_EQ(make({"--x", "2e5"}).get_double("x", 0), 2e5);
+  EXPECT_DOUBLE_EQ(make({"--x", "-0.25"}).get_double("x", 0), -0.25);
+  // Trailing characters, empty values, bare flags and overflow all throw
+  // rather than silently reading a prefix (or 0, or a clamped value).
+  EXPECT_THROW((void)make({"--n", "2e5"}).get_int("n", 0), CheckError);
+  EXPECT_THROW((void)make({"--n", "12abc"}).get_int("n", 0), CheckError);
+  EXPECT_THROW((void)make({"--n="}).get_int("n", 0), CheckError);
+  EXPECT_THROW((void)make({"--n"}).get_int("n", 0), CheckError);
+  EXPECT_THROW((void)make({"--n", "99999999999999999999"}).get_int("n", 0),
+               CheckError);
+  EXPECT_THROW((void)make({"--n", "-99999999999999999999"}).get_int("n", 0),
+               CheckError);
+  EXPECT_THROW((void)make({"--x", "0.5x"}).get_double("x", 0), CheckError);
+  EXPECT_THROW((void)make({"--x="}).get_double("x", 0), CheckError);
+  EXPECT_THROW((void)make({"--x", "1e999"}).get_double("x", 0), CheckError);
+}
+
 TEST(Cli, JobsParsesPositiveValues) {
   EXPECT_EQ(make({"--jobs", "8"}).jobs(), 8);
   EXPECT_EQ(make({"--jobs=2"}).jobs(), 2);
