@@ -21,9 +21,9 @@
 //        --mem fixed|hierarchy (memory backend; default fixed),
 //        --scale, --budget, --timeslice, --seed, --quick, --paper,
 //        --jobs N, --progress N, --json FILE, --cache[=DIR]/--no-cache,
-//        --timeout MS, --retries N, --check-quality, --shard I/N (run one
-//        round-robin slice and emit a shard document for tools/vexmerge;
-//        skips tables and the quality gate), --cache-gc SIZE.
+//        --check-quality, --shard I/N (run one round-robin slice and emit a
+//        shard document for tools/vexmerge; skips tables and the quality
+//        gate), --cache-gc SIZE.
 #include <iomanip>
 #include <iostream>
 #include <sstream>

@@ -20,8 +20,8 @@
 // Flags: --mem fixed|hierarchy (ignored here: the ablation runs both),
 //        --cc NAME, --cc-verify, --config FILE (base machine description),
 //        --scale, --budget, --timeslice, --seed, --quick, --paper, --csv,
-//        --jobs N, --progress N, --flush N, --json FILE,
-//        --cache[=DIR]/--no-cache (result cache), --timeout MS, --retries N,
+//        --jobs N, --progress N, --json FILE,
+//        --cache[=DIR]/--no-cache (result cache),
 //        --shard I/N (run one round-robin slice and emit a shard document
 //        for tools/vexmerge), --cache-gc SIZE (post-sweep cache eviction).
 #include <iostream>

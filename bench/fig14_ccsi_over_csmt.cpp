@@ -10,7 +10,7 @@
 //        --mem fixed|hierarchy (memory backend; default fixed),
 //        --scale, --budget, --timeslice, --seed, --quick, --paper, --csv,
 //        --jobs N, --json FILE (default BENCH_sweep.json),
-//        --cache[=DIR]/--no-cache (result cache), --timeout MS, --retries N,
+//        --cache[=DIR]/--no-cache (result cache),
 //        --shard I/N (run one round-robin slice and emit a shard document
 //        for tools/vexmerge), --cache-gc SIZE (post-sweep cache eviction).
 #include <iostream>

@@ -11,7 +11,7 @@
 //        --scale, --budget, --timeslice, --seed, --quick, --paper, --csv,
 //        --per-workload (print each mix's IPC too), --jobs N, --progress N,
 //        --json FILE (default BENCH_fig16_absolute_ipc.json),
-//        --cache[=DIR]/--no-cache (result cache), --timeout MS, --retries N,
+//        --cache[=DIR]/--no-cache (result cache),
 //        --shard I/N (run one round-robin slice and emit a shard document
 //        for tools/vexmerge), --cache-gc SIZE (post-sweep cache eviction).
 #include <iostream>

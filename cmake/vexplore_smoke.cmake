@@ -3,7 +3,10 @@
 #   (2) a warm-cache re-run serves >= 90% of points from the result cache
 #       and still emits byte-identical report JSON,
 #   (3) the template's memory-backend axis is live: at least one sampled
-#       machine runs the hierarchy backend.
+#       machine runs the hierarchy backend,
+#   (4) out-of-range run-length overrides (--budget 0, --budget -5,
+#       --scale -1, --timeslice 0) exit non-zero, promptly, with a message
+#       naming the flag, and write no report.
 #
 # Arguments: VEXPLORE (driver executable), TEMPLATE (DSE template file),
 #            OUT_DIR (scratch directory).
@@ -73,3 +76,20 @@ if(NOT report MATCHES "hierarchy")
           "no sampled point used the hierarchy memory backend — the "
           "template's memory axis is dead")
 endif()
+
+set(rejected "${OUT_DIR}/vexplore_rejected.json")
+foreach(bad "--budget;0" "--budget;-5" "--scale;-1" "--timeslice;0")
+  file(REMOVE ${rejected})
+  list(GET bad 0 flag)
+  execute_process(COMMAND ${VEXPLORE} --template ${TEMPLATE} --sample 2
+                          --quick ${bad} --json ${rejected}
+                  TIMEOUT 60
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(rc EQUAL 0 OR EXISTS ${rejected})
+    message(FATAL_ERROR "vexplore accepted '${bad}' (exit ${rc})")
+  endif()
+  if(NOT err MATCHES "${flag} must be")
+    message(FATAL_ERROR
+            "vexplore '${bad}' failed without naming ${flag}: ${err}")
+  endif()
+endforeach()

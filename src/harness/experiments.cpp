@@ -39,6 +39,22 @@ bool operator==(const ExperimentOptions& a, const ExperimentOptions& b) {
          a.mem_backend == b.mem_backend;
 }
 
+void ExperimentOptions::apply_run_length(const Cli& cli) {
+  scale = cli.get_double("scale", scale);
+  VEXSIM_CHECK_MSG(std::isfinite(scale) && scale > 0,
+                   "--scale must be a finite number > 0, got " << scale);
+  const std::int64_t new_budget =
+      cli.get_int("budget", static_cast<std::int64_t>(budget));
+  VEXSIM_CHECK_MSG(new_budget >= 1,
+                   "--budget must be >= 1, got " << new_budget);
+  budget = static_cast<std::uint64_t>(new_budget);
+  const std::int64_t new_timeslice =
+      cli.get_int("timeslice", static_cast<std::int64_t>(timeslice));
+  VEXSIM_CHECK_MSG(new_timeslice >= 1,
+                   "--timeslice must be >= 1, got " << new_timeslice);
+  timeslice = static_cast<std::uint64_t>(new_timeslice);
+}
+
 ExperimentOptions ExperimentOptions::from_cli(const Cli& cli) {
   ExperimentOptions opt;
   if (cli.get_bool("paper", false)) {
@@ -52,18 +68,7 @@ ExperimentOptions ExperimentOptions::from_cli(const Cli& cli) {
     opt.budget = 80'000;
     opt.timeslice = 40'000;
   }
-  opt.scale = cli.get_double("scale", opt.scale);
-  VEXSIM_CHECK_MSG(std::isfinite(opt.scale) && opt.scale > 0,
-                   "--scale must be a finite number > 0, got " << opt.scale);
-  const std::int64_t budget =
-      cli.get_int("budget", static_cast<std::int64_t>(opt.budget));
-  VEXSIM_CHECK_MSG(budget >= 1, "--budget must be >= 1, got " << budget);
-  opt.budget = static_cast<std::uint64_t>(budget);
-  const std::int64_t timeslice =
-      cli.get_int("timeslice", static_cast<std::int64_t>(opt.timeslice));
-  VEXSIM_CHECK_MSG(timeslice >= 1,
-                   "--timeslice must be >= 1, got " << timeslice);
-  opt.timeslice = static_cast<std::uint64_t>(timeslice);
+  opt.apply_run_length(cli);
   opt.seed = static_cast<std::uint64_t>(cli.get_int(
       "seed", static_cast<std::int64_t>(opt.seed)));
   if (cli.has("cc"))

@@ -66,9 +66,14 @@ struct ExperimentOptions {
   // --cc-verify (run the static checkers between compiler passes),
   // --config FILE (base machine from a description file), and
   // --mem fixed|hierarchy (memory-backend override). Throws CheckError on a
-  // malformed number, a scale that is not finite and > 0, or a budget or
-  // timeslice below 1.
+  // malformed number or an out-of-range run length (apply_run_length).
   static ExperimentOptions from_cli(const Cli& cli);
+
+  // Applies --scale/--budget/--timeslice over the current values; the one
+  // range check behind from_cli and vexplore's per-scenario overrides.
+  // Throws CheckError unless scale is finite and > 0 and budget and
+  // timeslice are >= 1.
+  void apply_run_length(const Cli& cli);
 
   // Value equality; the base machines compare by value (both absent, or
   // both present and equal), not by pointer.

@@ -42,8 +42,7 @@ Json manifest_json(const std::vector<ManifestEntry>& manifest) {
 // Common prefix of both shard-document kinds; kind-specific fields are
 // inserted by the callers before manifest/points.
 Json shard_doc_prefix(const std::string& experiment, const std::string& kind,
-                      const ShardSpec& shard, std::size_t points_total,
-                      bool partial) {
+                      const ShardSpec& shard, std::size_t points_total) {
   Json sh = Json::object();
   sh.set("index", shard.index)
       .set("count", shard.count)
@@ -51,7 +50,6 @@ Json shard_doc_prefix(const std::string& experiment, const std::string& kind,
   Json doc = Json::object();
   doc.set("experiment", experiment).set("kind", kind).set("shard",
                                                           std::move(sh));
-  if (partial) doc.set("partial", true);
   return doc;
 }
 
@@ -103,10 +101,9 @@ std::vector<ManifestEntry> build_manifest(
 Json sweep_shard_json(const std::string& experiment, const ShardSpec& shard,
                       const std::vector<ManifestEntry>& manifest,
                       const std::vector<std::size_t>& indices,
-                      const std::vector<Json>& point_docs, bool partial) {
+                      const std::vector<Json>& point_docs) {
   VEXSIM_CHECK(indices.size() == point_docs.size());
-  Json doc =
-      shard_doc_prefix(experiment, "sweep", shard, manifest.size(), partial);
+  Json doc = shard_doc_prefix(experiment, "sweep", shard, manifest.size());
   doc.set("manifest", manifest_json(manifest));
   Json pts = Json::array();
   for (std::size_t k = 0; k < indices.size(); ++k) {
@@ -125,12 +122,10 @@ Json dse_shard_json(const std::string& experiment, const ShardSpec& shard,
                     const std::vector<ManifestEntry>& manifest,
                     const std::vector<std::size_t>& indices,
                     const std::vector<Json>& point_docs,
-                    const std::vector<std::vector<std::string>>& buckets,
-                    bool partial) {
+                    const std::vector<std::vector<std::string>>& buckets) {
   VEXSIM_CHECK(indices.size() == point_docs.size());
   VEXSIM_CHECK(indices.size() == buckets.size());
-  Json doc =
-      shard_doc_prefix(experiment, "dse", shard, manifest.size(), partial);
+  Json doc = shard_doc_prefix(experiment, "dse", shard, manifest.size());
   doc.set("header", header);
   Json axes_json = Json::array();
   for (const std::string& a : axes) axes_json.push(a);
@@ -168,6 +163,8 @@ Json dse_report(const Json& header, const std::vector<std::string>& axes,
     std::string label;
   };
   std::vector<Cand> cands;
+  // Point docs marked "failed" (shard documents from older binaries) carry
+  // no statistics and are skipped here and in the aggregates below.
   for (const Json& d : point_docs) {
     if (d.find("failed") != nullptr) continue;
     cands.push_back({static_cast<int>(d.at("total_issue").as_int64()),
@@ -244,6 +241,8 @@ MergeOutcome merge_shards(const std::vector<Json>& docs,
 
   for (std::size_t d = 0; d < docs.size(); ++d) {
     const Json& doc = docs[d];
+    // Current binaries write a shard document only once the shard finishes;
+    // older ones also wrote mid-run checkpoints marked "partial".
     VEXSIM_CHECK_MSG(doc.find("partial") == nullptr,
                      doc_name(d) << " is a partial mid-run checkpoint; re-run "
                                     "that shard to completion before merging");

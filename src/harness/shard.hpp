@@ -77,13 +77,11 @@ struct ManifestEntry {
 
 // Shard document for a bench sweep. `indices`/`point_docs` are parallel:
 // the owned manifest indices and their rendered sweep_point_json subtrees.
-// `partial` marks a mid-run flush checkpoint; vexmerge refuses those.
 [[nodiscard]] Json sweep_shard_json(const std::string& experiment,
                                     const ShardSpec& shard,
                                     const std::vector<ManifestEntry>& manifest,
                                     const std::vector<std::size_t>& indices,
-                                    const std::vector<Json>& point_docs,
-                                    bool partial);
+                                    const std::vector<Json>& point_docs);
 
 // Shard document for a vexplore DSE run: adds the report header (identical
 // across shards — sampling is serial and deterministic), the axis-name list,
@@ -95,7 +93,7 @@ struct ManifestEntry {
     const std::vector<ManifestEntry>& manifest,
     const std::vector<std::size_t>& indices,
     const std::vector<Json>& point_docs,
-    const std::vector<std::vector<std::string>>& buckets, bool partial);
+    const std::vector<std::vector<std::string>>& buckets);
 
 // Assembles the final vexplore report from per-point documents and bucket
 // labels: header fields, then points, the Pareto frontier of (cycles, total
@@ -117,7 +115,8 @@ struct MergeOutcome {
 
 // Folds shard documents into one trajectory. `names` are the per-document
 // origin labels (file paths) used in error messages, parallel to `docs`.
-// CheckError on: partial checkpoints, mixed experiments/kinds/shard counts,
+// CheckError on: documents marked "partial" (mid-run checkpoints written by
+// older binaries), mixed experiments/kinds/shard counts,
 // manifest mismatches, and conflicting records for one point (same
 // fingerprint, byte-differing result) — each error names the point.
 // Overlapping byte-identical records are deduped silently.

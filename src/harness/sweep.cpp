@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -28,15 +26,19 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
 }
 
 SweepOptions SweepOptions::from_cli(const Cli& cli) {
+  // Cli ignores unknown flags, so the removed ones are named explicitly
+  // rather than silently dropped from an old script's command line.
+  for (const char* retired : {"timeout", "retries", "flush"})
+    VEXSIM_CHECK_MSG(!cli.has(retired),
+                     "--" << retired
+                          << " was removed: --cache resumes a killed sweep "
+                             "and --budget bounds a run");
   SweepOptions opts;
   opts.jobs = cli.jobs();
   opts.progress_every =
       static_cast<int>(cli.get_int("progress", opts.progress_every));
   VEXSIM_CHECK_MSG(opts.progress_every >= 0,
                    "--progress must be >= 0, got " << opts.progress_every);
-  opts.flush_every = static_cast<int>(cli.get_int("flush", opts.flush_every));
-  VEXSIM_CHECK_MSG(opts.flush_every >= 0,
-                   "--flush must be >= 0, got " << opts.flush_every);
   if (cli.has("cache") && !cli.get_bool("no-cache", false)) {
     const std::string dir = cli.get("cache", "");
     // Bare `--cache` parses as the boolean value "true"; map it to the
@@ -52,80 +54,12 @@ SweepOptions SweepOptions::from_cli(const Cli& cli) {
                      "--cache-gc budget too large");
     opts.cache_gc_bytes = static_cast<std::int64_t>(budget);
   }
-  opts.point_timeout_ms =
-      static_cast<int>(cli.get_int("timeout", opts.point_timeout_ms));
-  VEXSIM_CHECK_MSG(opts.point_timeout_ms >= 0,
-                   "--timeout must be >= 0 ms, got " << opts.point_timeout_ms);
-  opts.max_retries =
-      static_cast<int>(cli.get_int("retries", opts.max_retries));
-  VEXSIM_CHECK_MSG(opts.max_retries >= 0,
-                   "--retries must be >= 0, got " << opts.max_retries);
   return opts;
 }
 
 namespace {
 
-// One simulation attempt under a wall-clock budget. The attempt runs on its
-// own thread; on timeout that thread is detached and keeps simulating into
-// state only it owns (shared_ptr), which is discarded when it finishes —
-// abandoning a hung attempt must never corrupt the sweep's results.
-struct AttemptState {
-  std::mutex m;
-  std::condition_variable cv;
-  bool done = false;
-  bool threw = false;
-  std::string error;
-  RunResult result;
-};
-
-bool attempt_with_timeout(const SweepPoint& point, int timeout_ms,
-                          RunResult& out, std::string& error) {
-  auto state = std::make_shared<AttemptState>();
-  std::thread runner([state, point] {  // `point` copied: may outlive caller
-    RunResult r;
-    bool threw = false;
-    std::string what;
-    try {
-      r = run_workload_on(point.cfg, point.workload, point.opt);
-    } catch (const std::exception& e) {
-      threw = true;
-      what = e.what();
-    } catch (...) {
-      threw = true;
-      what = "unknown exception";
-    }
-    {
-      const std::lock_guard<std::mutex> lock(state->m);
-      state->result = std::move(r);
-      state->threw = threw;
-      state->error = std::move(what);
-      state->done = true;
-    }
-    state->cv.notify_all();
-  });
-
-  std::unique_lock<std::mutex> lock(state->m);
-  const bool finished =
-      state->cv.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                         [&state] { return state->done; });
-  if (!finished) {
-    lock.unlock();
-    runner.detach();
-    error = "timed out after " + std::to_string(timeout_ms) + " ms";
-    return false;
-  }
-  lock.unlock();
-  runner.join();
-  if (state->threw) {
-    error = std::move(state->error);
-    return false;
-  }
-  out = std::move(state->result);
-  return true;
-}
-
-bool attempt_inline(const SweepPoint& point, RunResult& out,
-                    std::string& error) {
+bool run_point(const SweepPoint& point, RunResult& out, std::string& error) {
   try {
     out = run_workload_on(point.cfg, point.workload, point.opt);
     return true;
@@ -145,11 +79,9 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
   const int jobs = opts.jobs;
   VEXSIM_CHECK_MSG(jobs >= 1, "sweep needs at least one job, got " << jobs);
   VEXSIM_CHECK_MSG(opts.progress_every >= 0, "progress_every must be >= 0");
-  VEXSIM_CHECK_MSG(opts.point_timeout_ms >= 0, "point_timeout_ms must be >= 0");
-  VEXSIM_CHECK_MSG(opts.max_retries >= 0, "max_retries must be >= 0");
   std::vector<RunResult> results(points.size());
-  // Per-point error text in the non-tolerant configuration; aggregated into
-  // one exception after the workers drain.
+  // Per-point error text; aggregated into one exception after the workers
+  // drain.
   std::vector<std::string> fatal_errors(points.size());
   std::vector<char> fatal(points.size(), 0);
   std::ostream* progress_to =
@@ -191,18 +123,7 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> completed{cache_hits};
   std::mutex progress_mutex;
-  // Incremental-flush bookkeeping, guarded by progress_mutex: which points
-  // have finished and how far the fully-complete prefix reaches. Cache hits
-  // are complete before any worker starts.
-  std::vector<char> done(points.size(), 0);
-  std::size_t prefix = 0;
-  for (std::size_t i = 0; i < points.size(); ++i)
-    if (results[i].cache_hit) done[i] = 1;
-  while (prefix < points.size() && done[prefix] != 0) ++prefix;
-  const bool flushing = opts.flush_every > 0 && opts.flush_fn != nullptr;
-  std::atomic<bool> flush_failed{false};
   std::atomic<bool> store_failed{false};
-  const int max_attempts = 1 + opts.max_retries;
   auto worker = [&] {
     for (;;) {
       const std::size_t t = next.fetch_add(1);
@@ -211,22 +132,7 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
       const SweepPoint& p = points[i];
 
       RunResult r;
-      std::string error;
-      int used_attempts = 0;
-      bool ok = false;
-      // Retries re-run the point unchanged (same options, hence the same
-      // derived seed): wall-clock timeouts come from machine load, not from
-      // the simulation, so a retry of a timed-out point usually succeeds —
-      // bit-identically to a first-try success.
-      while (!ok && used_attempts < max_attempts) {
-        ++used_attempts;
-        ok = opts.point_timeout_ms > 0
-                 ? attempt_with_timeout(p, opts.point_timeout_ms, r, error)
-                 : attempt_inline(p, r, error);
-      }
-
-      if (ok) {
-        r.attempts = used_attempts;
+      if (run_point(p, r, fatal_errors[i])) {
         if (cache != nullptr && cacheable[i] != 0 &&
             !store_failed.load(std::memory_order_relaxed)) {
           try {
@@ -243,17 +149,7 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
           }
         }
         results[i] = std::move(r);
-      } else if (opts.failure_tolerant()) {
-        // Structured per-point failure: the sweep completes and the JSON
-        // records what went wrong where, instead of one bad point poisoning
-        // hours of finished work.
-        RunResult failure;
-        failure.failed = true;
-        failure.error = error;
-        failure.attempts = max_attempts;
-        results[i] = std::move(failure);
       } else {
-        fatal_errors[i] = error;
         fatal[i] = 1;
       }
 
@@ -264,28 +160,6 @@ std::vector<RunResult> run_sweep(const std::vector<SweepPoint>& points,
         const std::lock_guard<std::mutex> lock(progress_mutex);
         *progress_to << "sweep: " << done_count << "/" << points.size()
                      << " points" << std::endl;
-      }
-      if (flushing && !flush_failed.load(std::memory_order_relaxed)) {
-        const std::lock_guard<std::mutex> lock(progress_mutex);
-        // A fatally-errored point never counts as done: the complete prefix
-        // stops before it, so a salvaged partial file holds only real
-        // results. (A tolerated failure *is* a result.)
-        done[i] = fatal[i] != 0 ? 0 : 1;
-        while (prefix < points.size() && done[prefix] != 0) ++prefix;
-        // The final complete document is written by the caller; only
-        // genuinely partial states flush.
-        if (done_count % static_cast<std::size_t>(opts.flush_every) == 0 &&
-            done_count < points.size()) {
-          try {
-            opts.flush_fn(results, prefix);
-          } catch (...) {
-            // A failing flush (full disk, unwritable path) must not abort
-            // the sweep: the in-memory results outrank the checkpoint.
-            flush_failed.store(true, std::memory_order_relaxed);
-            *progress_to << "sweep: incremental flush failed; flushing "
-                            "disabled for this run" << std::endl;
-          }
-        }
       }
     }
   };
@@ -473,23 +347,6 @@ Json sweep_json(const std::string& experiment,
   return doc;
 }
 
-Json sweep_json_partial(const std::string& experiment,
-                        const std::vector<SweepPoint>& points,
-                        const std::vector<RunResult>& results,
-                        std::size_t count) {
-  VEXSIM_CHECK(points.size() == results.size());
-  VEXSIM_CHECK(count <= points.size());
-  Json doc = Json::object();
-  doc.set("experiment", experiment);
-  doc.set("partial", true);
-  doc.set("points_total", static_cast<std::uint64_t>(points.size()));
-  Json arr = Json::array();
-  for (std::size_t i = 0; i < count; ++i)
-    arr.push(point_json(points[i], results[i]));
-  doc.set("points", std::move(arr));
-  return doc;
-}
-
 const RunResult& result_for(const std::vector<SweepPoint>& points,
                             const std::vector<RunResult>& results,
                             const std::string& label) {
@@ -508,10 +365,9 @@ std::vector<RunResult> run_sweep_and_dump(
       "json", shard.active
                   ? "BENCH_" + experiment + ".shard" + shard.tag() + ".json"
                   : "BENCH_" + experiment + ".json");
-  SweepOptions opts = SweepOptions::from_cli(cli);
+  const SweepOptions opts = SweepOptions::from_cli(cli);
   // Write-then-rename: a reader (or a crash) mid-write never sees a
-  // truncated document at the target path — in particular, a failing final
-  // write must not destroy the last flushed checkpoint.
+  // truncated document at the target path.
   const auto write_atomically = [&path](const Json& doc) {
     const std::string tmp = path + ".tmp";
     write_json_file(tmp, doc);
@@ -520,18 +376,6 @@ std::vector<RunResult> run_sweep_and_dump(
   };
 
   if (!shard.active) {
-    // --flush N: overwrite the target file with the completed prefix every N
-    // points so a long sweep is inspectable (and partially salvageable)
-    // mid-run. The completed sweep rewrites the file in its final form
-    // below.
-    if (opts.flush_every > 0) {
-      opts.flush_fn = [&points, &experiment, &write_atomically](
-                          const std::vector<RunResult>& partial,
-                          std::size_t prefix) {
-        write_atomically(
-            sweep_json_partial(experiment, points, partial, prefix));
-      };
-    }
     const std::vector<RunResult> results = run_sweep(points, opts);
     write_atomically(sweep_json(experiment, points, results));
     return results;
@@ -549,31 +393,15 @@ std::vector<RunResult> run_sweep_and_dump(
     mine.push_back(points[i]);
     mine_index.push_back(i);
   }
-  const auto shard_doc = [&](const std::vector<RunResult>& rs,
-                             std::size_t count, bool partial) {
-    std::vector<Json> docs;
-    std::vector<std::size_t> idx;
-    docs.reserve(count);
-    idx.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      docs.push_back(sweep_point_json(mine[k], rs[k]));
-      idx.push_back(mine_index[k]);
-    }
-    return sweep_shard_json(experiment, shard, manifest, idx, docs, partial);
-  };
-  if (opts.flush_every > 0) {
-    opts.flush_fn = [&shard_doc, &write_atomically](
-                        const std::vector<RunResult>& partial,
-                        std::size_t prefix) {
-      write_atomically(shard_doc(partial, prefix, true));
-    };
-  }
   const std::vector<RunResult> mine_results = run_sweep(mine, opts);
-  write_atomically(shard_doc(mine_results, mine_results.size(), false));
-  std::ostream* progress_to =
-      opts.progress_stream != nullptr ? opts.progress_stream : &std::cerr;
-  *progress_to << "sweep: shard " << shard.str() << " ran " << mine.size()
-               << "/" << points.size() << " points -> " << path << std::endl;
+  std::vector<Json> docs;
+  docs.reserve(mine.size());
+  for (std::size_t k = 0; k < mine.size(); ++k)
+    docs.push_back(sweep_point_json(mine[k], mine_results[k]));
+  write_atomically(
+      sweep_shard_json(experiment, shard, manifest, mine_index, docs));
+  std::cerr << "sweep: shard " << shard.str() << " ran " << mine.size() << "/"
+            << points.size() << " points -> " << path << std::endl;
 
   // Full-size result vector: owned slots filled, foreign slots default.
   std::vector<RunResult> results(points.size());

@@ -8,23 +8,22 @@
 // build their point lists up front, run the sweep, then render tables and a
 // machine-readable JSON trajectory from the in-order results.
 //
-// Scale-out features, all off by default:
-//  * Result caching (`cache_dir` / --cache): points whose content hash is
-//    already in the cache are served before the thread pool starts; misses
-//    run as usual and are persisted. Cached results are bit-identical to
-//    fresh ones (the golden suite is the referee), and a cold-cache run
-//    emits byte-identical JSON to a warm one.
-//  * Per-point timeout/retry (`point_timeout_ms` / `max_retries`): a
-//    timed-out or thrown point is re-attempted with its original derived
-//    seed. When either knob is set the sweep is failure-tolerant — a point
-//    that exhausts its attempts becomes a structured per-point failure
-//    (RunResult::failed + error, "failed": true in the JSON) instead of
-//    aborting the whole sweep. With both knobs at their defaults, failures
-//    aggregate into a single exception reporting every failed label.
+// Failure policy: every point runs inline on its worker; any point error
+// aborts the sweep once the workers drain, as one CheckError naming the
+// failed-point count and the first few failing labels. Runs are bounded by
+// ExperimentOptions::budget and max_cycles, not by wall clock.
+//
+// Result caching (`cache_dir` / --cache, off by default): points whose
+// content hash is already in the cache are served before the thread pool
+// starts; misses run as usual and are persisted as each completes. Cached
+// results are bit-identical to fresh ones (the golden suite is the
+// referee), and a cold-cache run emits byte-identical JSON to a warm one.
+// This is also how a killed sweep resumes: re-run it with the same --cache
+// and every finished point is served. Sharded sweeps resume through
+// vexmerge's resume manifest (harness/shard.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -48,14 +47,6 @@ struct SweepOptions {
   // long paper-scale sweeps stay observable without touching the results.
   int progress_every = 0;
   std::ostream* progress_stream = nullptr;  // nullptr = std::cerr
-  // When > 0 and `flush_fn` is set, `flush_fn(results, n)` fires after every
-  // `flush_every` completed points with the in-progress result vector and
-  // the longest fully-complete prefix length n — run_sweep_and_dump uses it
-  // to write a partial BENCH_*.json so long paper-scale sweeps are
-  // inspectable mid-run. Called under the sweep's bookkeeping lock;
-  // results[0..n) are safe to read.
-  int flush_every = 0;
-  std::function<void(const std::vector<RunResult>&, std::size_t)> flush_fn;
 
   // Content-addressed result cache directory (harness/result_cache.hpp);
   // empty disables caching. Hits are served without touching the thread
@@ -69,34 +60,12 @@ struct SweepOptions {
   // Requires cache_dir; a summary line goes to *progress_stream.
   std::int64_t cache_gc_bytes = -1;
 
-  // Wall-clock budget per simulation attempt; 0 = unlimited. A timed-out
-  // attempt is abandoned (its worker thread is detached and its state
-  // discarded) and the point is retried. Caveat: wall-clock timeouts are
-  // inherently nondeterministic — when one actually fires, the affected
-  // point's "attempts" count (and, if retries are exhausted, its "failed"
-  // record) reflects this machine's load, so byte-level trajectory
-  // identity across runs is only guaranteed while no attempt times out.
-  // Simulated statistics stay bit-identical regardless: a retried success
-  // re-runs with identical options and seed.
-  int point_timeout_ms = 0;
-  // Extra attempts after the first for a timed-out or thrown point. Each
-  // retry re-runs the point unchanged — same ExperimentOptions, same
-  // derived seed — so a success on any attempt is bit-identical to a
-  // first-try success.
-  int max_retries = 0;
-
-  // Failure tolerance is implied by configuring either retry knob: the
-  // operator asked for per-point fault handling, so an exhausted point is
-  // recorded as a structured failure instead of poisoning the sweep.
-  [[nodiscard]] bool failure_tolerant() const {
-    return point_timeout_ms > 0 || max_retries > 0;
-  }
-
-  // Applies --jobs/--progress/--flush/--cache[=DIR]/--no-cache/
-  // --timeout MS/--retries N/--cache-gc SIZE. Bare `--cache` uses
-  // ./sweep-cache; --no-cache wins over --cache (so a wrapper script's
-  // cache can be disabled without editing it). --cache-gc accepts K/M/G
-  // suffixes and is an error without an active --cache.
+  // Applies --jobs/--progress/--cache[=DIR]/--no-cache/--cache-gc SIZE.
+  // Bare `--cache` uses ./sweep-cache; --no-cache wins over --cache (so a
+  // wrapper script's cache can be disabled without editing it). --cache-gc
+  // accepts K/M/G suffixes and is an error without an active --cache. The
+  // removed --timeout, --retries and --flush flags are rejected with a
+  // message naming their replacement.
   static SweepOptions from_cli(const Cli& cli);
 };
 
@@ -108,11 +77,9 @@ struct SweepOptions {
 
 // Runs every point and returns results in point order. jobs == 1
 // degenerates to the serial loop; results are bit-identical for any job
-// count. In the default (non-tolerant) configuration, point errors are
-// aggregated after all workers drain into one CheckError reporting the
-// failed-point count and the first few failing labels; with
-// failure_tolerant() options, failed points come back as structured
-// RunResult failures instead.
+// count. Point errors are aggregated after all workers drain into one
+// CheckError reporting the failed-point count and the first few failing
+// labels.
 [[nodiscard]] std::vector<RunResult> run_sweep(
     const std::vector<SweepPoint>& points, const SweepOptions& opts);
 [[nodiscard]] std::vector<RunResult> run_sweep(
@@ -123,15 +90,6 @@ struct SweepOptions {
 [[nodiscard]] Json sweep_json(const std::string& experiment,
                               const std::vector<SweepPoint>& points,
                               const std::vector<RunResult>& results);
-
-// Partial-flush variant: the first `count` points only, marked with
-// "partial": true and the total point count so a mid-run file is never
-// mistaken for a finished trajectory. The final document written when the
-// sweep completes is the plain sweep_json() form.
-[[nodiscard]] Json sweep_json_partial(const std::string& experiment,
-                                      const std::vector<SweepPoint>& points,
-                                      const std::vector<RunResult>& results,
-                                      std::size_t count);
 
 // One rendered trajectory entry (the per-point subtree of sweep_json).
 // Exposed for the shard layer, which embeds these subtrees in shard

@@ -76,10 +76,13 @@ struct RunResult {
   CompileSummary compile;  // filled by harness::run_workload_on
   int issue_width = 0;
 
-  // Harness provenance, filled by harness::run_sweep; a direct
-  // MultiprogramDriver::run() leaves the defaults.
-  int attempts = 1;    // simulation attempts behind this result (retries)
-  bool failed = false; // point exhausted its retries; stats above are empty
+  // Harness provenance, serialized with every sweep point; a direct
+  // MultiprogramDriver::run() leaves the defaults. run_sweep runs each point
+  // once and aborts on any error, so its results keep attempts == 1 and
+  // failed == false; cache records replay `attempts` as stored, and callers
+  // that record a point's failure instead of aborting set `failed`.
+  int attempts = 1;    // simulation attempts behind this result
+  bool failed = false; // the point did not run; stats above are empty
   std::string error;   // failure description when `failed`
   // `cached`: the result is persisted in the sweep result cache — true both
   // when this run stored it and when a later run serves it, so cold- and

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/check.hpp"
@@ -68,6 +69,45 @@ TEST(Experiments, FromCliAcceptsBoundaryValues) {
   EXPECT_EQ(opt.budget, 1u);
   EXPECT_EQ(opt.timeslice, 16u);
   EXPECT_DOUBLE_EQ(opt.scale, 1e-3);
+}
+
+// apply_run_length is also how vexplore overrides each sampled scenario's
+// run length, so it is exercised here over a scenario-like base rather than
+// the defaults. Each of these values used to pass through vexplore
+// unchecked: --budget -5 ran until killed, the others wrote a report.
+ExperimentOptions scenario_like() {
+  ExperimentOptions opt;
+  opt.scale = 0.05;
+  opt.budget = 40'000;
+  opt.timeslice = 20'000;
+  return opt;
+}
+
+TEST(Experiments, RunLengthOverrideRejectsOutOfRangeValues) {
+  for (const auto& args : std::vector<std::vector<const char*>>{
+           {"--budget", "0"},
+           {"--budget", "-5"},
+           {"--scale", "-1"},
+           {"--timeslice", "0"},
+       }) {
+    ExperimentOptions opt = scenario_like();
+    try {
+      opt.apply_run_length(make_cli({args[0], args[1]}));
+      FAIL() << "expected CheckError for " << args[0] << " " << args[1];
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(args[0]) + " must be"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Experiments, RunLengthOverrideKeepsUnsetValues) {
+  ExperimentOptions opt = scenario_like();
+  opt.apply_run_length(make_cli({"--budget", "7"}));
+  EXPECT_EQ(opt.budget, 7u);
+  EXPECT_EQ(opt.timeslice, 20'000u);
+  EXPECT_DOUBLE_EQ(opt.scale, 0.05);
 }
 
 ExperimentOptions tiny() {

@@ -66,8 +66,7 @@ std::vector<RunResult> test_results(std::size_t n) {
 Json make_shard_doc(const std::vector<SweepPoint>& points,
                     const std::vector<RunResult>& results,
                     const ShardSpec& shard,
-                    const std::vector<std::size_t>* explicit_indices = nullptr,
-                    bool partial = false) {
+                    const std::vector<std::size_t>* explicit_indices = nullptr) {
   const std::vector<ManifestEntry> manifest = build_manifest(points);
   std::vector<std::size_t> indices;
   if (explicit_indices != nullptr) {
@@ -79,8 +78,7 @@ Json make_shard_doc(const std::vector<SweepPoint>& points,
   std::vector<Json> docs;
   for (const std::size_t i : indices)
     docs.push_back(sweep_point_json(points[i], results[i]));
-  return sweep_shard_json("shard_test", shard, manifest, indices, docs,
-                          partial);
+  return sweep_shard_json("shard_test", shard, manifest, indices, docs);
 }
 
 TEST(ShardSpec, ParsesValidForms) {
@@ -257,8 +255,10 @@ TEST(MergeShards, RefusesPartialCheckpointsAndMixedCounts) {
   const std::vector<SweepPoint> points = test_points(4);
   const std::vector<RunResult> results = test_results(4);
 
-  const Json partial = make_shard_doc(points, results, ShardSpec{1, 2, true},
-                                      nullptr, /*partial=*/true);
+  // Older binaries wrote mid-run checkpoints marked "partial"; such a file
+  // may still sit beside finished shards.
+  Json partial = make_shard_doc(points, results, ShardSpec{1, 2, true});
+  partial.set("partial", true);
   const Json full2 = make_shard_doc(points, results, ShardSpec{2, 2, true});
   expect_check_error(
       [&] { (void)merge_shards({partial, full2}, {"a.json", "b.json"}); },
@@ -338,7 +338,7 @@ TEST(MergeShards, DseShardsMergeByteIdenticalToDseReport) {
       mine_buckets.push_back(buckets[i]);
     }
     return dse_shard_json("vexplore", shard, header, axes, manifest, indices,
-                          mine, mine_buckets, false);
+                          mine, mine_buckets);
   };
   const MergeOutcome out =
       merge_shards({dse_doc(ShardSpec{1, 2, true}),

@@ -116,56 +116,6 @@ TEST(Sweep, ProgressReportingEveryNPoints) {
   EXPECT_TRUE(silent.str().empty());
 }
 
-TEST(Sweep, IncrementalFlushDeliversCompletePrefixes) {
-  const auto points = sample_points(9);  // six points
-  std::vector<std::size_t> prefixes;
-  std::vector<std::string> partial_docs;
-  SweepOptions opts;
-  opts.jobs = 3;
-  opts.flush_every = 2;
-  opts.flush_fn = [&](const std::vector<RunResult>& partial,
-                      std::size_t prefix) {
-    prefixes.push_back(prefix);
-    partial_docs.push_back(
-        sweep_json_partial("flush_test", points, partial, prefix).dump());
-  };
-  const auto results = run_sweep(points, opts);
-  ASSERT_EQ(results.size(), points.size());
-
-  // Flushes fire at 2 and 4 completed points (6/6 is the caller's final
-  // write, not a partial flush); prefixes never shrink.
-  ASSERT_EQ(prefixes.size(), 2u);
-  for (std::size_t i = 1; i < prefixes.size(); ++i)
-    EXPECT_LE(prefixes[i - 1], prefixes[i]);
-  for (std::size_t i = 0; i < prefixes.size(); ++i) {
-    EXPECT_LE(prefixes[i], points.size());
-    EXPECT_NE(partial_docs[i].find("\"partial\": true"), std::string::npos);
-    EXPECT_NE(partial_docs[i].find("\"points_total\": 6"), std::string::npos);
-  }
-
-  // A flushed prefix carries exactly the results the finished sweep reports.
-  const std::string full =
-      sweep_json_partial("flush_test", points, results, prefixes.back())
-          .dump();
-  EXPECT_EQ(partial_docs.back(), full);
-
-  // Flushing must not perturb the results themselves.
-  const auto quiet = run_sweep(points, 1);
-  for (std::size_t i = 0; i < results.size(); ++i)
-    EXPECT_EQ(results[i].sim.cycles, quiet[i].sim.cycles) << i;
-}
-
-TEST(Sweep, FlushDisabledByDefault) {
-  const auto points = sample_points(2);
-  int calls = 0;
-  SweepOptions opts;
-  opts.jobs = 2;
-  // flush_fn set but flush_every == 0: never called.
-  opts.flush_fn = [&](const std::vector<RunResult>&, std::size_t) { ++calls; };
-  (void)run_sweep(points, opts);
-  EXPECT_EQ(calls, 0);
-}
-
 TEST(Sweep, JsonDefaultNameAndGeometryAxis) {
   const auto points = sample_points(4);
   const auto results = run_sweep(points, 2);
@@ -322,117 +272,7 @@ TEST(Sweep, AggregatedErrorReportsCountAndLabels) {
   }
 }
 
-TEST(Sweep, RetriesExhaustedBecomeStructuredFailures) {
-  std::vector<SweepPoint> points = sample_points(3);
-  points[2].workload = "no-such-mix";
-  SweepOptions opts;
-  opts.jobs = 4;
-  opts.max_retries = 2;  // implies failure tolerance
-
-  const auto results = run_sweep(points, opts);  // must not throw
-  ASSERT_EQ(results.size(), points.size());
-  EXPECT_TRUE(results[2].failed);
-  EXPECT_EQ(results[2].attempts, 3);  // 1 try + 2 retries
-  EXPECT_NE(results[2].error.find("no-such-mix"), std::string::npos)
-      << results[2].error;
-  EXPECT_EQ(results[2].sim.cycles, 0u);
-
-  // Healthy points are untouched by the failure machinery...
-  const auto plain = run_sweep(sample_points(3), 1);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (i == 2) continue;
-    EXPECT_FALSE(results[i].failed) << i;
-    EXPECT_EQ(results[i].attempts, 1) << i;
-    EXPECT_EQ(results[i].sim.cycles, plain[i].sim.cycles) << i;
-  }
-  // ...and the whole tolerant sweep is deterministic across --jobs.
-  const auto serial = run_sweep(points, [] {
-    SweepOptions o;
-    o.jobs = 1;
-    o.max_retries = 2;
-    return o;
-  }());
-  EXPECT_EQ(sweep_json("t", points, results).dump(),
-            sweep_json("t", points, serial).dump());
-  // The failed point is visible in the trajectory.
-  const std::string text = sweep_json("t", points, results).dump();
-  EXPECT_NE(text.find("\"failed\": true"), std::string::npos);
-  EXPECT_NE(text.find("\"error\": "), std::string::npos);
-}
-
-TEST(Sweep, GenerousTimeoutIsBitIdenticalAcrossJobs) {
-  // A timeout that never fires must not perturb anything: same stats, one
-  // attempt per point, identical JSON for any worker count.
-  const auto points = sample_points(6);
-  SweepOptions opts;
-  opts.jobs = 4;
-  opts.point_timeout_ms = 600'000;
-  const auto timed = run_sweep(points, opts);
-  opts.jobs = 1;
-  const auto timed_serial = run_sweep(points, opts);
-  const auto plain = run_sweep(points, 2);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(timed[i].attempts, 1) << i;
-    EXPECT_FALSE(timed[i].failed) << i;
-    EXPECT_EQ(timed[i].sim.cycles, plain[i].sim.cycles) << i;
-  }
-  EXPECT_EQ(sweep_json("t", points, timed).dump(),
-            sweep_json("t", points, timed_serial).dump());
-  EXPECT_EQ(sweep_json("t", points, timed).dump(),
-            sweep_json("t", points, plain).dump());
-}
-
-TEST(Sweep, ExpiredTimeoutIsRecordedAsFailure) {
-  // A single deliberately heavy point (a ~second of simulation even on an
-  // idle machine) under a 25 ms budget: both attempts time out and the
-  // failure is structured. Only the heavy point runs under the tight
-  // timeout — external load slows the simulation down, which can only
-  // widen the margin, so this is stable under a parallel test suite.
-  std::vector<SweepPoint> points = {sample_points(7)[0]};
-  points[0].opt.budget = 1'000'000;
-  points[0].opt.timeslice = 100'000;
-  SweepOptions opts;
-  opts.jobs = 2;
-  opts.point_timeout_ms = 25;
-  opts.max_retries = 1;
-  const auto results = run_sweep(points, opts);
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_TRUE(results[0].failed);
-  EXPECT_EQ(results[0].attempts, 2);
-  EXPECT_NE(results[0].error.find("timed out after 25 ms"), std::string::npos)
-      << results[0].error;
-  EXPECT_EQ(results[0].sim.cycles, 0u);
-  // The failure shows up in the trajectory rather than as an exception.
-  const std::string text = sweep_json("t", points, results).dump();
-  EXPECT_NE(text.find("\"failed\": true"), std::string::npos);
-  EXPECT_NE(text.find("timed out after 25 ms"), std::string::npos);
-}
-
-TEST(Sweep, FailedPointsAreNeverCached) {
-  std::vector<SweepPoint> points = sample_points(8);
-  points[1].workload = "no-such-mix";
-  SweepOptions opts;
-  opts.jobs = 2;
-  opts.max_retries = 1;
-  opts.cache_dir = fresh_cache_dir("failures");
-  const auto first = run_sweep(points, opts);
-  EXPECT_TRUE(first[1].failed);
-  EXPECT_FALSE(first[1].cached);
-  // The second run hits for the five good points and re-fails the bad one
-  // fresh — a transient failure must never be replayed from disk.
-  std::ostringstream log;
-  opts.progress_stream = &log;
-  const auto second = run_sweep(points, opts);
-  EXPECT_NE(log.str().find("served 5/6 points from result cache"),
-            std::string::npos)
-      << log.str();
-  EXPECT_TRUE(second[1].failed);
-  EXPECT_FALSE(second[1].cache_hit);
-  EXPECT_EQ(sweep_json("t", points, first).dump(),
-            sweep_json("t", points, second).dump());
-}
-
-TEST(Sweep, FromCliParsesCacheTimeoutRetries) {
+TEST(Sweep, FromCliParsesCacheAndRejectsRetiredFlags) {
   const auto opts_for = [](std::initializer_list<const char*> args) {
     std::vector<const char*> argv{"prog"};
     argv.insert(argv.end(), args.begin(), args.end());
@@ -440,19 +280,28 @@ TEST(Sweep, FromCliParsesCacheTimeoutRetries) {
     return SweepOptions::from_cli(cli);
   };
   EXPECT_EQ(opts_for({}).cache_dir, "");
-  EXPECT_FALSE(opts_for({}).failure_tolerant());
   EXPECT_EQ(opts_for({"--cache"}).cache_dir, "sweep-cache");
   EXPECT_EQ(opts_for({"--cache", "my-dir"}).cache_dir, "my-dir");
   EXPECT_EQ(opts_for({"--cache=my-dir"}).cache_dir, "my-dir");
   // --no-cache wins so wrapper-script caches can be disabled per run.
   EXPECT_EQ(opts_for({"--cache", "my-dir", "--no-cache"}).cache_dir, "");
   EXPECT_EQ(opts_for({"--no-cache"}).cache_dir, "");
-  const SweepOptions t = opts_for({"--timeout", "250", "--retries", "2"});
-  EXPECT_EQ(t.point_timeout_ms, 250);
-  EXPECT_EQ(t.max_retries, 2);
-  EXPECT_TRUE(t.failure_tolerant());
-  EXPECT_THROW((void)opts_for({"--timeout", "-1"}), CheckError);
-  EXPECT_THROW((void)opts_for({"--retries", "-2"}), CheckError);
+  // Removed flags fail loudly instead of being dropped as unknown, and the
+  // message names the flag and what replaces it.
+  for (const auto& args : std::vector<std::vector<const char*>>{
+           {"--timeout", "5000"}, {"--retries", "2"}, {"--flush", "10"}}) {
+    try {
+      (void)opts_for({args[0], args[1]});
+      FAIL() << "expected CheckError for " << args[0];
+    } catch (const CheckError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::string(args[0]) + " was removed"),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("--cache"), std::string::npos) << what;
+      EXPECT_NE(what.find("--budget"), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Sweep, ResultForLooksUpByLabel) {

@@ -6,8 +6,8 @@
 // Validation before any output: every input must carry the same experiment,
 // kind, shard count, and point manifest (label + fingerprint per point);
 // overlapping byte-identical records are deduped; two byte-differing records
-// for one fingerprint are a hard error naming the point; partial (mid-run
-// flush) checkpoints are refused.
+// for one fingerprint are a hard error naming the point; documents marked
+// "partial" (mid-run checkpoints written by older binaries) are refused.
 //
 // When points are missing, vexmerge exits 1 and writes a resume manifest
 // (--resume FILE, default <out>.resume.json) listing every missing point and

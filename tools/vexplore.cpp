@@ -26,8 +26,8 @@
 //        (default 7), --max-attempts M (default 32*N), --json FILE (default
 //        VEXPLORE.json), --quick, --scale X, --budget N, --timeslice N
 //        (override every sampled scenario),
-//        --jobs N, --progress N, --cache[=DIR]/--no-cache, --timeout MS,
-//        --retries N, --shard I/N, --cache-gc SIZE (sweep engine).
+//        --jobs N, --progress N, --cache[=DIR]/--no-cache, --shard I/N,
+//        --cache-gc SIZE (sweep engine).
 #include <algorithm>
 #include <iostream>
 #include <map>
@@ -60,18 +60,15 @@ Json value_json(const mdes::Value& v) {
 }
 
 // Scenario-level overrides shared by every sampled point; mirrors the
-// bench --quick/--scale/--budget/--timeslice semantics.
+// bench --quick/--scale/--budget/--timeslice semantics, range checks
+// included.
 void apply_cli_overrides(const Cli& cli, harness::ExperimentOptions& opt) {
   if (cli.get_bool("quick", false)) {
     opt.scale = std::min(opt.scale, 0.05);
     opt.budget = std::min<std::uint64_t>(opt.budget, 20'000);
     opt.timeslice = std::min<std::uint64_t>(opt.timeslice, 10'000);
   }
-  opt.scale = cli.get_double("scale", opt.scale);
-  opt.budget = static_cast<std::uint64_t>(
-      cli.get_int("budget", static_cast<std::int64_t>(opt.budget)));
-  opt.timeslice = static_cast<std::uint64_t>(
-      cli.get_int("timeslice", static_cast<std::int64_t>(opt.timeslice)));
+  opt.apply_run_length(cli);
 }
 
 // Deterministic bucket label for an axis value: choice and narrow int axes
@@ -192,13 +189,9 @@ int main(int argc, char** argv) {
         .set("technique", s.point.machine.technique.name())
         .set("total_issue", s.point.machine.total_issue_width())
         .set("workload", points[i].workload);
-    if (r.failed) {
-      pj.set("failed", true).set("error", r.error);
-    } else {
-      pj.set("cycles", r.sim.cycles)
-          .set("instructions", r.sim.instructions_retired)
-          .set("ipc", r.ipc());
-    }
+    pj.set("cycles", r.sim.cycles)
+        .set("instructions", r.sim.instructions_retired)
+        .set("ipc", r.ipc());
     return pj;
   };
 
@@ -241,7 +234,7 @@ int main(int argc, char** argv) {
   }
   const Json doc =
       harness::dse_shard_json("vexplore", shard, header, axes, manifest,
-                              mine_index, point_docs, mine_buckets, false);
+                              mine_index, point_docs, mine_buckets);
   const std::string out_path =
       cli.get("json", "VEXPLORE.shard" + shard.tag() + ".json");
   write_json_file(out_path, doc);
