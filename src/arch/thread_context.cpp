@@ -29,7 +29,7 @@ void ThreadContext::respawn() {
   redirect_target = -1;
   halt_at_completion = false;
   regs.clear();
-  mem.clear();
+  mem.reset_to(program_->image);
   issue = IssueProgress{};
   pending_writes.clear();
   rf_buffer.clear();
@@ -37,8 +37,6 @@ void ThreadContext::respawn() {
   channels.fill(ChannelState{});
   channels_dirty = false;
   fault = FaultInfo{};
-  for (const DataSegment& seg : program_->data)
-    mem.poke_bytes(seg.addr, seg.bytes.data(), seg.bytes.size());
   ++respawns;
 }
 

@@ -98,8 +98,9 @@ class ThreadContext {
  public:
   ThreadContext(int asid, std::shared_ptr<const Program> program);
 
-  // Restart the program from scratch (respawn): reloads data segments,
-  // clears registers/buffers, keeps `total_instructions` accumulating.
+  // Restart the program from scratch (respawn): remaps the program's data
+  // image (O(mapped pages), no page copy), clears registers/buffers, keeps
+  // `total_instructions` accumulating.
   void respawn();
 
   [[nodiscard]] const Program& program() const { return *program_; }

@@ -1,8 +1,10 @@
 #include "isa/program.hpp"
 
+#include <ios>
 #include <sstream>
 
 #include "isa/encoding.hpp"
+#include "mem/main_memory.hpp"
 #include "util/check.hpp"
 
 namespace vexsim {
@@ -33,6 +35,25 @@ void Program::finalize() {
         name << ": software-pipeline span out of range");
   }
   decoded = std::make_shared<const DecodedProgram>(code, kernels);
+
+  // Segments a load can never reach, or whose bytes would wrap into page 0.
+  for (const DataSegment& seg : data) {
+    VEXSIM_CHECK_MSG(seg.addr >= MainMemory::kGuardLimit,
+                     name << ": data segment at 0x" << std::hex << seg.addr
+                          << " starts below the guard limit 0x"
+                          << MainMemory::kGuardLimit);
+    VEXSIM_CHECK_MSG(seg.bytes.size() <= (std::uint64_t{1} << 32) - seg.addr,
+                     name << ": data segment at 0x" << std::hex << seg.addr
+                          << " (0x" << seg.bytes.size()
+                          << " bytes) ends past 2^32");
+  }
+  if (image != nullptr && data.empty()) return;  // the image is current
+  MainMemory staging;
+  staging.reset_to(image);
+  for (const DataSegment& seg : data)
+    staging.poke_bytes(seg.addr, seg.bytes.data(), seg.bytes.size());
+  image = std::make_shared<const MemoryImage>(std::move(staging));
+  data.clear();
 }
 
 void Program::add_data(std::uint32_t addr, std::vector<std::uint8_t> bytes) {

@@ -5,9 +5,21 @@
 // kGuardLimit or misaligned accesses fault — used by the precise-exception
 // machinery and its tests.
 //
+// Storage is a two-level page table over 64 KiB pages: the top 8 address
+// bits pick a leaf, the next 8 pick an entry. An entry maps either
+//  - a page of a shared, immutable MemoryImage (a Program's initial data,
+//    frozen once by Program::finalize() and read concurrently by every
+//    context running the program), or
+//  - a private page this memory owns.
+// A store (or poke) to an image page first copies it into a private page
+// (copy-on-write); a load of an unmapped page reads 0 and allocates nothing.
+// reset_to(image) — a respawn — returns the private pages to a per-memory
+// free list and maps the image's pages: O(mapped pages), one reference on
+// the image, no allocation and no page copy once the free list is warm.
+//
 // load/store are inline: they run once per executed memory operation, and
-// with the page memo the whole fast path is a handful of instructions — a
-// cross-TU call would cost more than the access.
+// the fast path is two dependent loads of the page table — a cross-TU call
+// would cost more than the access.
 #pragma once
 
 #include <array>
@@ -15,12 +27,13 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "util/check.hpp"
 
 namespace vexsim {
+
+class MemoryImage;
 
 class MainMemory {
  public:
@@ -28,16 +41,15 @@ class MainMemory {
   static constexpr std::uint32_t kPageSize = 1u << kPageBits;
   static constexpr std::uint32_t kGuardLimit = 0x100;  // null-page guard
 
-  MainMemory() = default;
-  // Copies must not alias the source's page storage through the memo.
-  MainMemory(const MainMemory& other) : pages_(other.pages_) {}
-  MainMemory& operator=(const MainMemory& other) {
-    pages_ = other.pages_;
-    reset_memo();
+  MainMemory();
+  // Copies share the source's image and deep-copy its private pages.
+  MainMemory(const MainMemory& other);
+  MainMemory(MainMemory&& other) noexcept : MainMemory() { swap(other); }
+  MainMemory& operator=(MainMemory other) noexcept {
+    swap(other);
     return *this;
   }
-  MainMemory(MainMemory&&) = default;
-  MainMemory& operator=(MainMemory&&) = default;
+  ~MainMemory() = default;
 
   // size ∈ {1,2,4}. Returns false on fault (misaligned / guard page); the
   // value is sign- or zero-extended by the caller (ISA level), not here.
@@ -46,7 +58,7 @@ class MainMemory {
     VEXSIM_CHECK(size == 1 || size == 2 || size == 4);
     if (addr < kGuardLimit) return false;
     if ((addr & (static_cast<std::uint32_t>(size) - 1)) != 0) return false;
-    const Page* p = find_page(addr);
+    const std::uint8_t* p = entry(addr >> kPageBits).read;
     if (p == nullptr) {
       out = 0;  // untouched memory reads as zero
       return true;
@@ -59,20 +71,20 @@ class MainMemory {
       // straight memcpy (which the compiler lowers to a single load).
       if (size == 4) {
         std::uint32_t v = 0;
-        std::memcpy(&v, p->data() + off, 4);
+        std::memcpy(&v, p + off, 4);
         out = v;
         return true;
       }
       if (size == 2) {
         std::uint16_t v = 0;
-        std::memcpy(&v, p->data() + off, 2);
+        std::memcpy(&v, p + off, 2);
         out = v;
         return true;
       }
     }
     std::uint32_t v = 0;
     for (int i = size - 1; i >= 0; --i)
-      v = (v << 8) | (*p)[off + static_cast<std::uint32_t>(i)];
+      v = (v << 8) | p[off + static_cast<std::uint32_t>(i)];
     out = v;
     return true;
   }
@@ -81,16 +93,16 @@ class MainMemory {
     VEXSIM_CHECK(size == 1 || size == 2 || size == 4);
     if (addr < kGuardLimit) return false;
     if ((addr & (static_cast<std::uint32_t>(size) - 1)) != 0) return false;
-    Page& p = page_for(addr);
+    std::uint8_t* p = writable_page(addr >> kPageBits);
     const std::uint32_t off = addr & (kPageSize - 1);
     if constexpr (std::endian::native == std::endian::little) {
       if (size == 4) {
-        std::memcpy(p.data() + off, &value, 4);
+        std::memcpy(p + off, &value, 4);
         return true;
       }
       if (size == 2) {
         const auto v = static_cast<std::uint16_t>(value);
-        std::memcpy(p.data() + off, &v, 2);
+        std::memcpy(p + off, &v, 2);
         return true;
       }
     }
@@ -100,63 +112,117 @@ class MainMemory {
     return true;
   }
 
-  // Unchecked helpers for program loading and test setup.
+  // Unchecked helpers for program loading and test setup (no guard or
+  // alignment check; a run that passes the end of the address space throws).
   void poke_bytes(std::uint32_t addr, const std::uint8_t* bytes,
                   std::size_t n);
   void poke_u32(std::uint32_t addr, std::uint32_t value);
   [[nodiscard]] std::uint32_t peek_u32(std::uint32_t addr) const;
 
-  void clear() {
-    pages_.clear();
-    reset_memo();
+  // Drop every private page to the free list and map `image`'s pages
+  // (nullptr: an empty address space). Holds one reference on `image` until
+  // the next reset.
+  void reset_to(const std::shared_ptr<const MemoryImage>& image);
+  void clear() { reset_to(nullptr); }
+
+  // Deterministic digest of all non-zero pages, in page order — used by
+  // equivalence tests to compare final memory states across techniques.
+  [[nodiscard]] std::uint64_t fingerprint() const;
+
+  // Introspection for tests: pages this memory owns (written since the last
+  // reset) vs pages it reads from its image, and every page it has ever
+  // allocated (private plus free list).
+  [[nodiscard]] std::size_t private_pages() const;
+  [[nodiscard]] std::size_t owned_pages() const { return owned_pages_; }
+  [[nodiscard]] bool is_private(std::uint32_t addr) const {
+    return entry(addr >> kPageBits).own != nullptr;
+  }
+  // The bytes backing `addr`'s page, or nullptr when unmapped.
+  [[nodiscard]] const std::uint8_t* page_data(std::uint32_t addr) const {
+    return entry(addr >> kPageBits).read;
   }
 
-  // Deterministic digest of all touched pages — used by equivalence tests to
-  // compare final memory states across techniques.
+  void swap(MainMemory& other) noexcept;
+
+ private:
+  friend class MemoryImage;
+  static constexpr std::uint32_t kLeafBits = 8;
+  static constexpr std::uint32_t kLeafEntries = 1u << kLeafBits;
+  static constexpr std::uint32_t kRootEntries = 1u << (32 - kPageBits -
+                                                       kLeafBits);
+  // Pages are anonymous mappings of their own: a new page reads as zeros
+  // and each 4 KiB unit becomes resident only when first written, so an
+  // image page costs memory only where its data segments lie.
+  struct PageUnmap {
+    void operator()(std::uint8_t* page) const noexcept;
+  };
+  using PageBuf = std::unique_ptr<std::uint8_t[], PageUnmap>;
+
+  // `read` is the mapped page (image or private); `own` is set only for a
+  // private page, and then read == own.get().
+  struct Entry {
+    const std::uint8_t* read = nullptr;
+    PageBuf own;
+  };
+  using Leaf = std::array<Entry, kLeafEntries>;
+
+  // Unallocated root slots point here, so the fast paths never test for a
+  // missing leaf. Never written: writable_page() allocates a leaf first.
+  static Leaf empty_leaf_;
+
+  [[nodiscard]] const Entry& entry(std::uint32_t index) const {
+    return (*root_[index >> kLeafBits])[index & (kLeafEntries - 1)];
+  }
+  Entry& entry(std::uint32_t index) {
+    return (*root_[index >> kLeafBits])[index & (kLeafEntries - 1)];
+  }
+
+  std::uint8_t* writable_page(std::uint32_t index) {
+    std::uint8_t* p = entry(index).own.get();
+    if (p == nullptr) [[unlikely]]
+      p = make_private(index);
+    return p;
+  }
+  // Copy-on-write: give page `index` a private copy (zeroes if unmapped).
+  std::uint8_t* make_private(std::uint32_t index);
+  Entry& entry_for_map(std::uint32_t index);  // allocates the leaf
+  // A page from the free list, else a new zero page; `zeroed` clears a
+  // recycled one.
+  PageBuf take_page(bool zeroed);
+
+  std::array<Leaf*, kRootEntries> root_;
+  std::vector<std::unique_ptr<Leaf>> leaves_;
+  std::vector<std::uint32_t> mapped_;  // page indices with an entry, any order
+  std::shared_ptr<const MemoryImage> image_;
+  std::vector<PageBuf> free_;  // released private pages, reused by COW
+  std::size_t owned_pages_ = 0;  // private + free
+};
+
+// An immutable initial data image: the pages of a staging memory, frozen.
+// Contexts map its pages copy-on-write (MainMemory::reset_to), so one
+// image serves every context running a program, on any thread. It holds
+// only its pages, in index order — no page table of its own.
+class MemoryImage {
+ public:
+  // Takes `staging`'s pages (copying any it maps from an older image) and
+  // leaves it empty.
+  explicit MemoryImage(MainMemory&& staging);
+
+  // The bytes backing `addr`'s page, or nullptr when the image lacks it.
+  [[nodiscard]] const std::uint8_t* page_data(std::uint32_t addr) const;
+  // The little-endian word at `addr` (0 outside the image; 4-aligned,
+  // at or above kGuardLimit, like MainMemory::peek_u32).
+  [[nodiscard]] std::uint32_t peek_u32(std::uint32_t addr) const;
+  // Equals the fingerprint() of a MainMemory reset to this image.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
  private:
-  using Page = std::vector<std::uint8_t>;
-  static constexpr std::uint32_t kNoPage = ~0u;
-
-  [[nodiscard]] const Page* find_page(std::uint32_t addr) const {
-    const std::uint32_t index = addr >> kPageBits;
-    const std::uint32_t lane = index & (kMemoLanes - 1);
-    if (index == cached_index_[lane]) return cached_page_[lane];
-    const auto it = pages_.find(index);
-    if (it == pages_.end()) return nullptr;  // absence is not cached: a store
-                                             // may create the page later
-    cached_index_[lane] = index;
-    cached_page_[lane] = const_cast<Page*>(&it->second);
-    return cached_page_[lane];
-  }
-
-  Page& page_for(std::uint32_t addr) {
-    const std::uint32_t index = addr >> kPageBits;
-    const std::uint32_t lane = index & (kMemoLanes - 1);
-    if (index == cached_index_[lane]) return *cached_page_[lane];
-    Page& p = pages_[index];
-    if (p.empty()) p.resize(kPageSize, 0);
-    cached_index_[lane] = index;
-    cached_page_[lane] = &p;
-    return p;
-  }
-
-  void reset_memo() {
-    cached_index_.fill(kNoPage);
-    cached_page_.fill(nullptr);
-  }
-
-  std::unordered_map<std::uint32_t, Page> pages_;
-  // Small direct-mapped page memo (indexed by the low page-index bits):
-  // kernel working sets hammer a handful of pages, so the common access
-  // skips the hash lookup, and a load stream on one page no longer evicts
-  // the memo for a store stream on another. Page storage is node-based
-  // (unordered_map), so cached pointers stay valid until clear().
-  static constexpr std::uint32_t kMemoLanes = 4;  // power of two
-  mutable std::array<std::uint32_t, kMemoLanes> cached_index_{
-      kNoPage, kNoPage, kNoPage, kNoPage};
-  mutable std::array<Page*, kMemoLanes> cached_page_{};
+  friend class MainMemory;
+  struct Page {
+    std::uint32_t index;
+    MainMemory::PageBuf bytes;
+  };
+  std::vector<Page> pages_;  // ascending index
 };
 
 }  // namespace vexsim

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/encoding.hpp"
+#include "mem/main_memory.hpp"
 #include "util/check.hpp"
 
 namespace vexsim {
@@ -46,6 +49,76 @@ TEST(Program, DataWords) {
   ASSERT_EQ(prog.data[0].bytes.size(), 8u);
   EXPECT_EQ(prog.data[0].bytes[0], 0x44);  // little endian
   EXPECT_EQ(prog.data[0].bytes[7], 0xAA);
+}
+
+TEST(Program, FinalizeMovesDataIntoTheImage) {
+  Program prog = two_instruction_program();
+  prog.add_data_words(0x2000, {0x11223344u, 0xAABBCCDDu});
+  prog.finalize();
+  EXPECT_TRUE(prog.data.empty());  // the image holds the only copy
+  ASSERT_NE(prog.image, nullptr);
+  EXPECT_EQ(prog.image->peek_u32(0x2000), 0x11223344u);
+  EXPECT_EQ(prog.image->peek_u32(0x2004), 0xAABBCCDDu);
+}
+
+TEST(Program, LaterOverlappingSegmentWins) {
+  Program prog = two_instruction_program();
+  prog.add_data_words(0x2000, {1, 2, 3});
+  prog.add_data_words(0x2004, {9});
+  prog.finalize();
+  EXPECT_EQ(prog.image->peek_u32(0x2000), 1u);
+  EXPECT_EQ(prog.image->peek_u32(0x2004), 9u);
+  EXPECT_EQ(prog.image->peek_u32(0x2008), 3u);
+}
+
+TEST(Program, AddDataAfterFinalizeNeedsAnotherFinalize) {
+  Program prog = two_instruction_program();
+  prog.add_data_words(0x2000, {1, 2});
+  prog.finalize();
+  const std::shared_ptr<const MemoryImage> first = prog.image;
+  prog.add_data_words(0x2004, {7});
+  EXPECT_FALSE(prog.finalized());  // the image is stale until re-finalized
+  prog.finalize();
+  ASSERT_TRUE(prog.finalized());
+  EXPECT_EQ(prog.image->peek_u32(0x2000), 1u);
+  EXPECT_EQ(prog.image->peek_u32(0x2004), 7u);
+  EXPECT_EQ(first->peek_u32(0x2004), 2u);  // a shared image never changes
+}
+
+TEST(Program, FinalizeRejectsSegmentPastAddressSpace) {
+  Program prog = two_instruction_program();
+  prog.add_data(0xFFFF'FFF0, std::vector<std::uint8_t>(32, 1));
+  try {
+    prog.finalize();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("p: data segment at 0xfffffff0"), std::string::npos)
+        << what;
+  }
+  EXPECT_FALSE(prog.finalized());
+
+  Program edge = two_instruction_program();  // ending exactly at 2^32 is fine
+  edge.add_data(0xFFFF'FFF0, std::vector<std::uint8_t>(16, 1));
+  edge.finalize();
+  EXPECT_EQ(edge.image->peek_u32(0xFFFF'FFFC), 0x01010101u);
+  EXPECT_EQ(edge.image->peek_u32(0x100), 0u);  // nothing wrapped into page 0
+}
+
+TEST(Program, FinalizeRejectsSegmentBelowGuardLimit) {
+  Program prog = two_instruction_program();
+  prog.add_data_words(0x80, {1});
+  try {
+    prog.finalize();
+    FAIL() << "expected CheckError";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("p: data segment at 0x80"), std::string::npos)
+        << what;
+  }
+  Program ok = two_instruction_program();
+  ok.add_data_words(MainMemory::kGuardLimit, {1});
+  EXPECT_NO_THROW(ok.finalize());
 }
 
 TEST(Program, ValidateAcceptsGoodProgram) {

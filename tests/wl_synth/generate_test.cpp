@@ -7,23 +7,18 @@
 
 #include "cc/verifier.hpp"
 #include "harness/experiments.hpp"
+#include "mem/main_memory.hpp"
 #include "util/check.hpp"
 #include "workloads/registry.hpp"
 
 namespace vexsim::wl_synth {
 namespace {
 
-// Full structural fingerprint: disassembly plus initial data bytes. Two
+// Full structural fingerprint: disassembly plus the initial data image. Two
 // programs with equal fingerprints are bit-identical as far as the
 // simulator is concerned.
 std::string fingerprint(const Program& prog) {
-  std::string fp = to_string(prog);
-  for (const DataSegment& seg : prog.data) {
-    fp += "@" + std::to_string(seg.addr) + ":";
-    fp.append(reinterpret_cast<const char*>(seg.bytes.data()),
-              seg.bytes.size());
-  }
-  return fp;
+  return to_string(prog) + "@" + std::to_string(prog.image->fingerprint());
 }
 
 MachineConfig asymmetric_cfg() {
